@@ -10,6 +10,8 @@
 
 
 #include <algorithm>
+#include <fstream>
+#include <sstream>
 
 using namespace spt;
 using namespace spt::bench;
@@ -141,4 +143,60 @@ double spt::bench::maxLoopCoverage(const WorkloadEval &E,
   const double Cov =
       static_cast<double>(Covered) / static_cast<double>(E.Seq.Subticks);
   return std::min(Cov, 1.0);
+}
+
+void spt::bench::mergeJsonBlock(const std::string &Path,
+                                const std::string &Name,
+                                const std::string &Block) {
+  std::string Existing;
+  {
+    std::ifstream In(Path);
+    std::stringstream SS;
+    SS << In.rdbuf();
+    Existing = SS.str();
+  }
+  // Built with append, not operator+: GCC 12's -Werror=restrict misfires
+  // on the temporaries at -O3 (PR105651).
+  std::string Marker = ",\n  \"";
+  Marker += Name;
+  Marker += "\":";
+  // Cut out the previous member of this name: its value runs from the
+  // marker to the bracket that closes the first one after it.
+  if (const size_t Prev = Existing.find(Marker); Prev != std::string::npos) {
+    size_t End = Prev + Marker.size();
+    int Depth = 0;
+    bool InString = false;
+    for (; End < Existing.size(); ++End) {
+      const char C = Existing[End];
+      if (InString) {
+        if (C == '\\')
+          ++End;
+        else if (C == '"')
+          InString = false;
+      } else if (C == '"') {
+        InString = true;
+      } else if (C == '{' || C == '[') {
+        ++Depth;
+      } else if ((C == '}' || C == ']') && --Depth == 0) {
+        ++End;
+        break;
+      }
+    }
+    Existing.erase(Prev, End - Prev);
+  }
+
+  std::string Out;
+  const size_t Close = Existing.rfind('}');
+  if (Close == std::string::npos) {
+    Out = "{";
+    Out.append(Block, 1, std::string::npos);
+  } else {
+    Out = Existing.substr(0, Close);
+    while (!Out.empty() && (Out.back() == '\n' || Out.back() == ' '))
+      Out.pop_back();
+    Out += Block;
+  }
+  Out += "}\n";
+  std::ofstream O(Path);
+  O << Out;
 }

@@ -76,6 +76,14 @@ std::vector<WorkloadEval>
 evaluateAll(const std::vector<CompilationMode> &Modes,
             const EvalOptions &Opts = EvalOptions());
 
+/// Merges one top-level member into the JSON object stored at \p Path.
+/// \p Block is the rendered member, ",\n  \"<Name>\": {...}\n". A member
+/// already named \p Name is removed first and every other member is kept;
+/// the new member goes last. A missing or empty file becomes an object
+/// holding only this member.
+void mergeJsonBlock(const std::string &Path, const std::string &Name,
+                    const std::string &Block);
+
 /// Fraction of baseline cycles spent in the loops selected by \p Mode.
 double selectedLoopCoverage(const WorkloadEval &E, CompilationMode Mode);
 

@@ -30,8 +30,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 using namespace spt;
 using namespace spt::bench;
@@ -94,36 +92,6 @@ SweepRow sweepWorkload(const Workload &W) {
   }
   Row.Monotone24 = Row.Speedup[2] >= Row.Speedup[1] - 1e-9;
   return Row;
-}
-
-/// Merges the ", \"kway\": {...}\n" block into the JSON object at
-/// \p Path (same replace-or-append contract as perf_sim's merge).
-void mergeIntoJson(const std::string &Path, const std::string &Block) {
-  std::string Existing;
-  {
-    std::ifstream In(Path);
-    std::stringstream SS;
-    SS << In.rdbuf();
-    Existing = SS.str();
-  }
-  const std::string Marker = ",\n  \"kway\":";
-  std::string Out;
-  const size_t Close = Existing.rfind('}');
-  if (Close == std::string::npos) {
-    Out = "{";
-    Out.append(Block, 1, Block.size() - 1);
-    Out += "}\n";
-  } else {
-    const size_t Prev = Existing.find(Marker);
-    std::string Prefix =
-        Existing.substr(0, Prev != std::string::npos ? Prev : Close);
-    while (!Prefix.empty() &&
-           (Prefix.back() == '\n' || Prefix.back() == ' '))
-      Prefix.pop_back();
-    Out = Prefix + Block + "}\n";
-  }
-  std::ofstream O(Path);
-  O << Out;
 }
 
 } // namespace
@@ -213,7 +181,7 @@ int main(int Argc, char **Argv) {
            (AnyMonotone ? "true" : "false");
   Block += "\n  }\n";
 
-  mergeIntoJson(OutPath, Block);
+  bench::mergeJsonBlock(OutPath, "kway", Block);
   outs() << "merged \"kway\" block into " << OutPath << "\n";
 
   if (!AllIdentical)

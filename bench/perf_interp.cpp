@@ -27,12 +27,12 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "bench/BenchCommon.h"
+
 #include "spt.h"
 
 #include <chrono>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -221,35 +221,6 @@ RowResult runKernel(const Kernel &K, bool Quick, int Repeat) {
   return Row;
 }
 
-/// Merges \p Block (", \"interpreter\": {...}\n") into the JSON object at
-/// \p Path, replacing any previous "interpreter" block (same scheme as
-/// perf_sim's "simulator" merge).
-void mergeIntoJson(const std::string &Path, const std::string &Block) {
-  std::string Existing;
-  {
-    std::ifstream In(Path);
-    std::stringstream SS;
-    SS << In.rdbuf();
-    Existing = SS.str();
-  }
-  const std::string Marker = ",\n  \"interpreter\":";
-  std::string Out;
-  const size_t Close = Existing.rfind('}');
-  if (Close == std::string::npos) {
-    Out = "{" + Block.substr(1) + "}\n";
-  } else {
-    const size_t Prev = Existing.find(Marker);
-    std::string Prefix =
-        Existing.substr(0, Prev != std::string::npos ? Prev : Close);
-    while (!Prefix.empty() &&
-           (Prefix.back() == '\n' || Prefix.back() == ' '))
-      Prefix.pop_back();
-    Out = Prefix + Block + "}\n";
-  }
-  std::ofstream O(Path);
-  O << Out;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -352,7 +323,7 @@ int main(int Argc, char **Argv) {
            (FastEnough ? "true" : "false");
   Block += "}\n  }\n";
 
-  mergeIntoJson(OutPath, Block);
+  bench::mergeJsonBlock(OutPath, "interpreter", Block);
   outs() << "merged \"interpreter\" block into " << OutPath << "\n";
 
   return AllIdentical && FastEnough ? 0 : 1;

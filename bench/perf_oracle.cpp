@@ -38,13 +38,14 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "bench/BenchCommon.h"
+
 #include "spt.h"
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <functional>
 #include <sstream>
 #include <string>
@@ -201,35 +202,6 @@ RowResult runWorkload(const Workload &W, int Repeat) {
   return Row;
 }
 
-/// Merges \p Block (", \"oracle\": {...}\n") into the JSON object at
-/// \p Path, replacing any block a previous run inserted; writes a fresh
-/// object when the file is missing.
-void mergeIntoJson(const std::string &Path, const std::string &Block) {
-  std::string Existing;
-  {
-    std::ifstream In(Path);
-    std::stringstream SS;
-    SS << In.rdbuf();
-    Existing = SS.str();
-  }
-  const std::string Marker = ",\n  \"oracle\":";
-  std::string Out;
-  const size_t Close = Existing.rfind('}');
-  if (Close == std::string::npos) {
-    Out = "{" + Block.substr(1) + "}\n";
-  } else {
-    const size_t Prev = Existing.find(Marker);
-    std::string Prefix =
-        Existing.substr(0, Prev != std::string::npos ? Prev : Close);
-    while (!Prefix.empty() &&
-           (Prefix.back() == '\n' || Prefix.back() == ' '))
-      Prefix.pop_back();
-    Out = Prefix + Block + "}\n";
-  }
-  std::ofstream O(Path);
-  O << Out;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -330,7 +302,7 @@ int main(int Argc, char **Argv) {
            (AllCorrect ? "true" : "false");
   Block += "}\n  }\n";
 
-  mergeIntoJson(OutPath, Block);
+  bench::mergeJsonBlock(OutPath, "oracle", Block);
   outs() << "merged \"oracle\" block into " << OutPath << "\n";
 
   return Changed > 0 && NoRegression && AllCorrect ? 0 : 1;

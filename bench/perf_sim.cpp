@@ -26,13 +26,13 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "bench/BenchCommon.h"
+
 #include "spt.h"
 
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -267,35 +267,6 @@ RowResult runSptKernel(const Kernel &K, bool Quick, int Repeat,
   return Row;
 }
 
-/// Merges \p Block (", \"simulator\": {...}\n") into the JSON object at
-/// \p Path, replacing any block a previous run inserted; writes a fresh
-/// object when the file is missing.
-void mergeIntoJson(const std::string &Path, const std::string &Block) {
-  std::string Existing;
-  {
-    std::ifstream In(Path);
-    std::stringstream SS;
-    SS << In.rdbuf();
-    Existing = SS.str();
-  }
-  const std::string Marker = ",\n  \"simulator\":";
-  std::string Out;
-  const size_t Close = Existing.rfind('}');
-  if (Close == std::string::npos) {
-    Out = "{" + Block.substr(1) + "}\n";
-  } else {
-    const size_t Prev = Existing.find(Marker);
-    std::string Prefix =
-        Existing.substr(0, Prev != std::string::npos ? Prev : Close);
-    while (!Prefix.empty() &&
-           (Prefix.back() == '\n' || Prefix.back() == ' '))
-      Prefix.pop_back();
-    Out = Prefix + Block + "}\n";
-  }
-  std::ofstream O(Path);
-  O << Out;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -409,7 +380,7 @@ int main(int Argc, char **Argv) {
            (AllMemHash ? "true" : "false");
   Block += "}\n  }\n";
 
-  mergeIntoJson(OutPath, Block);
+  bench::mergeJsonBlock(OutPath, "simulator", Block);
   outs() << "merged \"simulator\" block into " << OutPath << "\n";
 
   return AllIdentical && AllMemHash ? 0 : 1;

@@ -24,6 +24,13 @@
 #                                      # static vs in-run vs measured-artifact
 #                                      # partition quality) into the
 #                                      # perf_compile JSON
+#   ./scripts/bench.sh --interp        # also run bench/perf_interp and merge
+#                                      # its "interpreter" block (decoded vs
+#                                      # reference engine Mnodes/s) into the
+#                                      # perf_compile JSON
+#
+# Each merge replaces only its own block and keeps every other block of
+# the JSON, so the opt-in steps can also be re-run one at a time.
 #
 # Extra flags are passed through to perf_compile (--jobs=N, --repeat=N).
 
@@ -34,9 +41,10 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 
 echo "== [release] configure"
 cmake --preset release
-echo "== [release] build perf_compile perf_serve perf_sim fig14_kway perf_oracle"
+echo "== [release] build perf_compile perf_serve perf_sim fig14_kway" \
+  "perf_oracle perf_interp"
 cmake --build --preset release -j "$JOBS" --target perf_compile perf_serve \
-  perf_sim fig14_kway perf_oracle
+  perf_sim fig14_kway perf_oracle perf_interp
 
 OUT_PATH="$PWD/BENCH_compile.json"
 OUT_SET=0
@@ -44,6 +52,7 @@ QUICK=0
 SIM=0
 KWAY=0
 ORACLE=0
+INTERP=0
 ARGS=()
 for arg in "$@"; do
   case "$arg" in
@@ -52,6 +61,7 @@ for arg in "$@"; do
     --sim) SIM=1 ;;
     --kway) KWAY=1 ;;
     --oracle) ORACLE=1 ;;
+    --interp) INTERP=1 ;;
     *) ARGS+=("$arg") ;;
   esac
 done
@@ -149,6 +159,31 @@ if [ "$ORACLE" -eq 1 ]; then
     exit 1
   }
   echo "== oracle block recorded in $OUT_PATH"
+fi
+
+# Interpreter throughput (opt-in with --interp): bench/perf_interp times
+# the decoded engine against the reference switch engine on its kernels
+# and merges an "interpreter" block into the perf_compile JSON. The binary
+# exits nonzero itself when the two engines' record streams diverge or
+# the decoded engine falls under 2x the reference in aggregate; the
+# block's gate flags are double-checked here (docs/performance.md).
+if [ "$INTERP" -eq 1 ]; then
+  INTERP_ARGS=()
+  if [ "$QUICK" -eq 1 ]; then
+    INTERP_ARGS+=("--quick")
+  fi
+  echo "== perf_interp ${INTERP_ARGS[*]:-} --out=$OUT_PATH"
+  ./build-release/bench/perf_interp "${INTERP_ARGS[@]:+${INTERP_ARGS[@]}}" \
+    "--out=$OUT_PATH"
+  grep -q '"interpreter"' "$OUT_PATH" || {
+    echo "== ERROR: $OUT_PATH is missing the interpreter block" >&2
+    exit 1
+  }
+  grep -q '"reports_identical": true, "meets_2x_gate": true' "$OUT_PATH" || {
+    echo "== ERROR: $OUT_PATH interpreter block failed its gates" >&2
+    exit 1
+  }
+  echo "== interpreter block recorded in $OUT_PATH"
 fi
 
 # Batch-service throughput. perf_serve exits nonzero itself when any

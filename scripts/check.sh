@@ -1,22 +1,25 @@
 #!/usr/bin/env bash
 # One-command local gate: configure, build and test the requested presets.
 #
-#   ./scripts/check.sh              # default + asan-ubsan
+#   ./scripts/check.sh              # default + asan-ubsan + tsan
 #   ./scripts/check.sh default      # a single preset
 #   ./scripts/check.sh asan-ubsan
+#   ./scripts/check.sh tsan
 #
-# Each preset builds into its own directory (build/, build-asan/), so the
-# sanitizer run never dirties the ordinary build tree. Per preset the
-# gate is: the tier1-labelled test suite (ctest -L tier1, which includes
-# the fuzzing self-check), then a 200-program differential fuzzing smoke
-# through the full oracle set (see docs/testing.md).
+# Each preset builds into its own directory (build/, build-asan/,
+# build-tsan/), so the sanitizer runs never dirty the ordinary build tree.
+# Per preset the gate is: the tier1-labelled test suite (ctest -L tier1,
+# which includes the fuzzing self-check), then a 200-program differential
+# fuzzing smoke through the full oracle set (see docs/testing.md). The
+# tsan preset is the exception: it builds and runs only the concurrent
+# code (see the build-tsan stage below).
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 PRESETS=("$@")
 if [ ${#PRESETS[@]} -eq 0 ]; then
-  PRESETS=(default asan-ubsan)
+  PRESETS=(default asan-ubsan tsan)
 fi
 
 JOBS="$(nproc 2>/dev/null || echo 4)"
@@ -30,7 +33,33 @@ builddir_for() {
   esac
 }
 
+# build-tsan stage: ThreadSanitizer over the code that runs on several
+# threads at once — the batch compile server's work-stealing workers and
+# cache, parallel pass 1 on the thread pool, the relaxed-atomic obs
+# registries, and the service selfcheck end to end. A report fails the
+# stage (halt_on_error); reports are fixed, never suppressed.
+run_tsan_stage() {
+  local builddir=build-tsan
+  echo "== [tsan] configure"
+  cmake --preset tsan
+  echo "== [tsan] build"
+  cmake --build --preset tsan -j "$JOBS" --target serve_test \
+    parallel_pass1_test obs_test sptserve
+  export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
+  for t in serve_test parallel_pass1_test obs_test; do
+    echo "== [tsan] $t"
+    "./$builddir/tests/$t"
+  done
+  echo "== [tsan] sptserve selfcheck"
+  "./$builddir/tools/sptserve" --selfcheck --seed 1
+  unset TSAN_OPTIONS
+}
+
 for preset in "${PRESETS[@]}"; do
+  if [ "$preset" = tsan ]; then
+    run_tsan_stage
+    continue
+  fi
   builddir="$(builddir_for "$preset")"
   echo "== [$preset] configure"
   cmake --preset "$preset"

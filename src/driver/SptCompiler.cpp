@@ -489,6 +489,7 @@ void Compilation::stageProfile() {
   POpts.MaxSteps = Opts.ProfileMaxSteps;
   POpts.RngSeed = Opts.RngSeed;
   POpts.Cancel = Opts.Cancel;
+  POpts.Obs = Obs;
 
   if (wantSvp()) {
     // Watch every register-defining violation candidate (found with the
@@ -603,6 +604,7 @@ void Compilation::stageSvp() {
     POpts.MaxSteps = Opts.ProfileMaxSteps;
     POpts.RngSeed = Opts.RngSeed;
     POpts.Cancel = Opts.Cancel;
+    POpts.Obs = Obs;
     ValueProfileData SavedValues = std::move(Profile->Values);
     Profile = std::make_unique<ProfileBundle>(
         profileRun(M, Opts.ProfileEntry, Opts.ProfileArgs, POpts));

@@ -22,8 +22,8 @@
 /// of the loop's own frame (configurable; turning attribution off
 /// reproduces the paper's cost blind spot for loops with calls). rnd() is
 /// modeled as a read+write of a synthetic RNG address and print_* as a
-/// write of a synthetic IO address, so their ordering dependences show up
-/// in dependence profiles like any memory dependence.
+/// read+write of a synthetic IO address, so their ordering dependences
+/// show up in dependence profiles like any memory dependence.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,6 +33,7 @@
 #include "analysis/ProfileData.h"
 #include "interp/Interp.h"
 #include "ir/IR.h"
+#include "obs/Obs.h"
 #include "support/CancelToken.h"
 
 #include <memory>
@@ -81,6 +82,10 @@ struct ProfilerOptions {
   /// exhaustion: the bundle comes back Completed = false with an
   /// explanatory Error, and the driver degrades or abandons it.
   const CancelToken *Cancel = nullptr;
+  /// Receives the run's profile.* counters (steps, memory accesses,
+  /// shadow pages, dependence pairs, value samples), added once when the
+  /// run ends. Null disables them.
+  ObsContext *Obs = nullptr;
 };
 
 /// Runs \p FnName(\p Args) under instrumentation and returns the profiles.

@@ -388,6 +388,27 @@ TEST(PipelineObsTest, StatsDumpByteIdenticalAcrossRuns) {
   EXPECT_NE(DumpA.find("driver.compilations 3"), std::string::npos);
 }
 
+TEST(PipelineObsTest, ProfilerCountersPresentAndRepeatable) {
+  // The profiler adds its counters once per run; every one is nonzero on
+  // real workloads and a second compile of the same programs repeats them
+  // exactly.
+  ObsContext A, B;
+  compileInto(A, 1, 3);
+  compileInto(B, 1, 3);
+  const StatsSnapshot SA = A.snapshot(), SB = B.snapshot();
+  for (const char *Name :
+       {"profile.steps", "profile.mem_accesses", "profile.shadow_pages",
+        "profile.dep_pairs", "profile.value_samples"}) {
+    ASSERT_TRUE(SA.Counters.count(Name)) << Name;
+    EXPECT_GT(SA.Counters.at(Name), 0u) << Name;
+    EXPECT_EQ(SA.Counters.at(Name), SB.Counters.at(Name)) << Name;
+  }
+  // A step makes at most two shadow accesses (rnd and print_* both read
+  // and write their synthetic address).
+  EXPECT_GE(SA.Counters.at("profile.steps"),
+            SA.Counters.at("profile.mem_accesses") / 2);
+}
+
 TEST(PipelineObsTest, CounterTotalsIdenticalAcrossJobs) {
   // Counters are sums and max-merges of per-loop quantities, histograms
   // bucket by value, span counts ignore threads: the whole snapshot is
