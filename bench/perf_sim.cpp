@@ -4,22 +4,22 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Times the simulators themselves (SeqSim and SptSim) under the three
-// fast-path configurations of sim/SimOptions.h:
+// Times the simulators themselves (SeqSim and SptSim) under the two
+// fidelities of sim/SimOptions.h:
 //
-//   ref    exact fidelity, block-timing memo off — the reference
-//          scoreboard arithmetic instruction by instruction,
-//   exact  exact fidelity with the memo on (the default): bit-identical
-//          reports, elided scoreboard arithmetic on stable blocks,
+//   exact  the scoreboarded core, cache hierarchy and branch predictors
+//          (the default),
 //   ff     coarse fast-forward fidelity: architectural state and
 //          speculation outcomes preserved, timing approximate.
 //
 // Nodes are simulated instructions (Result.Instrs); the headline is the
-// stress row — the aggregate over every kernel — whose exact-fidelity
-// nodes/s must come with reports_identical (the exact+memo report
-// byte-equal to ref in every field, including MemoryHash) or the binary
-// fails loudly. The "simulator" block is merged into the perf_compile
-// JSON (default BENCH_compile.json) for the bench trajectory.
+// stress row, the aggregate over every kernel. The binary fails loudly
+// unless, on every kernel, a second exact run reproduces the first in
+// every report field (reports_identical) and the fast-forward run
+// matches the exact one in architectural state and speculation counters
+// (fast_forward_state_identical). The "simulator" block is merged into
+// the perf_compile JSON (default BENCH_compile.json) for the bench
+// trajectory.
 //
 // Flags: --quick (smaller trip counts, 1 repeat), --repeat=N (keep the
 // fastest of N timings), --out=PATH (JSON file to merge into).
@@ -55,10 +55,9 @@ std::string fmt2(double V) {
 }
 
 //===----------------------------------------------------------------------===//
-// Kernels. A deliberate spread of memo behaviours: stable profiles that
-// hit, cache-strided bodies that keep invalidating, and a long carried fp
-// chain that must back off — the throughput numbers cover the fast path,
-// the slow path and the detection overhead between them.
+// Kernels. A spread of timing-model behaviours: a short ALU loop, an
+// array sweep, cache-strided loads that keep missing, and a long carried
+// fp chain that is latency-bound.
 //===----------------------------------------------------------------------===//
 
 struct Kernel {
@@ -158,16 +157,21 @@ const char *kQuickSptValue[] = {"20000", "30000"};
 struct RowResult {
   std::string Name;
   uint64_t Nodes = 0;
-  double SecRef = 0.0, SecExact = 0.0, SecFast = 0.0;
-  double HitRate = 0.0;
-  bool ReportsIdentical = false; ///< exact+memo vs ref, every field.
-  bool MemHashIdentical = false; ///< across all three configurations.
+  double SecExact = 0.0, SecFast = 0.0;
+  bool ReportsIdentical = false; ///< Exact run vs its repeat, every field.
+  bool FastStateIdentical = false; ///< Fast-forward vs exact: architectural
+                                   ///< state and speculation counters.
 };
 
+/// Equality of the architectural state of two sequential reports.
+bool sameSeqState(const SeqSimResult &A, const SeqSimResult &B) {
+  return A.Instrs == B.Instrs && A.Result.I == B.Result.I &&
+         A.Output == B.Output && A.MemoryHash == B.MemoryHash;
+}
+
 bool sameSeq(const SeqSimResult &A, const SeqSimResult &B) {
-  if (A.Subticks != B.Subticks || A.Instrs != B.Instrs ||
-      A.Result.I != B.Result.I || A.Output != B.Output ||
-      A.MemoryHash != B.MemoryHash || A.BranchLookups != B.BranchLookups ||
+  if (!sameSeqState(A, B) || A.Subticks != B.Subticks ||
+      A.BranchLookups != B.BranchLookups ||
       A.BranchMispredicts != B.BranchMispredicts ||
       A.PerLoop.size() != B.PerLoop.size())
     return false;
@@ -180,16 +184,30 @@ bool sameSeq(const SeqSimResult &A, const SeqSimResult &B) {
   return true;
 }
 
-bool sameSpt(const SptSimResult &A, const SptSimResult &B) {
-  if (A.Subticks != B.Subticks || A.Instrs != B.Instrs ||
-      A.Result.I != B.Result.I || A.Output != B.Output ||
-      A.MemoryHash != B.MemoryHash || A.PerLoop.size() != B.PerLoop.size())
+/// Equality of architectural state and every speculation counter; per-loop
+/// and total Subticks are compared only when \p Timing.
+bool sameSpt(const SptSimResult &A, const SptSimResult &B, bool Timing) {
+  if (A.Instrs != B.Instrs || A.Result.I != B.Result.I ||
+      A.Output != B.Output || A.MemoryHash != B.MemoryHash ||
+      A.ViolationBatches != B.ViolationBatches ||
+      A.PerLoop.size() != B.PerLoop.size() ||
+      A.CoreStats.size() != B.CoreStats.size())
+    return false;
+  if (Timing && A.Subticks != B.Subticks)
     return false;
   auto IA = A.PerLoop.begin();
   auto IB = B.PerLoop.begin();
-  for (; IA != A.PerLoop.end(); ++IA, ++IB)
+  for (; IA != A.PerLoop.end(); ++IA, ++IB) {
+    SptLoopRunStats SA = IA->second, SB = IB->second;
+    if (!Timing)
+      SA.Subticks = SB.Subticks = 0;
     if (IA->first != IB->first ||
-        std::memcmp(&IA->second, &IB->second, sizeof(SptLoopRunStats)) != 0)
+        std::memcmp(&SA, &SB, sizeof(SptLoopRunStats)) != 0)
+      return false;
+  }
+  for (size_t I = 0; I != A.CoreStats.size(); ++I)
+    if (std::memcmp(&A.CoreStats[I], &B.CoreStats[I],
+                    sizeof(SptCoreStats)) != 0)
       return false;
   return true;
 }
@@ -212,11 +230,7 @@ RowResult runSeqKernel(const Kernel &K, bool Quick, int Repeat) {
   auto M = compileOrDie(K.Source);
   const std::vector<Value> Args = {Value::ofInt(Quick ? K.QuickN : K.N)};
 
-  SeqSimResult Ref, Exact, Fast;
-  Row.SecRef = timeBest(Repeat, [&] {
-    Ref = runSequential(*M, "f", Args, MachineConfig(), 500000000ull,
-                        0x5eed5eed5eedull, SimOptions::exactNoMemo());
-  });
+  SeqSimResult Exact, Fast;
   Row.SecExact = timeBest(Repeat, [&] {
     Exact = runSequential(*M, "f", Args);
   });
@@ -226,10 +240,8 @@ RowResult runSeqKernel(const Kernel &K, bool Quick, int Repeat) {
   });
 
   Row.Nodes = Exact.Instrs;
-  Row.HitRate = Exact.Perf.hitRate();
-  Row.ReportsIdentical = sameSeq(Ref, Exact);
-  Row.MemHashIdentical = Ref.MemoryHash == Exact.MemoryHash &&
-                         Ref.MemoryHash == Fast.MemoryHash;
+  Row.ReportsIdentical = sameSeq(Exact, runSequential(*M, "f", Args));
+  Row.FastStateIdentical = sameSeqState(Exact, Fast);
   return Row;
 }
 
@@ -252,18 +264,14 @@ RowResult runSptKernel(const Kernel &K, bool Quick, int Repeat,
                   500000000ull, 0x5eed5eed5eedull, nullptr, nullptr, Sim);
   };
 
-  SptSimResult Ref, Exact, Fast;
-  Row.SecRef = timeBest(Repeat, [&] { Ref = run(SimOptions::exactNoMemo()); });
+  SptSimResult Exact, Fast;
   Row.SecExact = timeBest(Repeat, [&] { Exact = run(SimOptions::exact()); });
   Row.SecFast = timeBest(Repeat, [&] { Fast = run(SimOptions::fastForward()); });
 
   Row.Nodes = Exact.Instrs;
-  Row.HitRate = Exact.Perf.hitRate();
-  Row.ReportsIdentical = sameSpt(Ref, Exact);
-  Row.MemHashIdentical = Ref.MemoryHash == Exact.MemoryHash &&
-                         Ref.MemoryHash == Fast.MemoryHash &&
-                         Fast.Result.I == Ref.Result.I &&
-                         Fast.Instrs == Ref.Instrs;
+  Row.ReportsIdentical =
+      sameSpt(Exact, run(SimOptions::exact()), /*Timing=*/true);
+  Row.FastStateIdentical = sameSpt(Exact, Fast, /*Timing=*/false);
   return Row;
 }
 
@@ -292,9 +300,8 @@ int main(int Argc, char **Argv) {
 
   outs() << "==============================================================\n";
   outs() << " perf_sim: simulator throughput (nodes = simulated instrs)\n";
-  outs() << " ref = exact, memo off; exact = exact + block-timing memo\n";
-  outs() << " ff = coarse fast-forward fidelity; repeat = " << Repeat
-         << "\n";
+  outs() << " exact = exact fidelity; ff = coarse fast-forward fidelity\n";
+  outs() << " repeat = " << Repeat << "\n";
   outs() << "==============================================================\n";
 
   std::vector<RowResult> Rows;
@@ -303,85 +310,67 @@ int main(int Argc, char **Argv) {
   for (unsigned I = 0; I != 2; ++I)
     Rows.push_back(runSptKernel(kSptKernels[I], Quick, Repeat, I));
 
-  Table T({"kernel", "nodes", "ref (s)", "exact (s)", "ff (s)",
-           "Mnodes/s exact", "Mnodes/s ff", "memo hit", "speedup",
-           "identical"});
+  Table T({"kernel", "nodes", "exact (s)", "ff (s)", "Mnodes/s exact",
+           "Mnodes/s ff", "identical"});
   uint64_t NodesTotal = 0;
-  double RefTotal = 0.0, ExactTotal = 0.0, FastTotal = 0.0;
-  double HitWeighted = 0.0;
-  bool AllIdentical = true, AllMemHash = true;
+  double ExactTotal = 0.0, FastTotal = 0.0;
+  bool AllIdentical = true, AllFastState = true;
   for (const RowResult &R : Rows) {
     NodesTotal += R.Nodes;
-    RefTotal += R.SecRef;
     ExactTotal += R.SecExact;
     FastTotal += R.SecFast;
-    HitWeighted += R.HitRate * static_cast<double>(R.Nodes);
     AllIdentical = AllIdentical && R.ReportsIdentical;
-    AllMemHash = AllMemHash && R.MemHashIdentical;
+    AllFastState = AllFastState && R.FastStateIdentical;
     T.beginRow();
     T.cell(R.Name);
     T.cell(R.Nodes);
-    T.cell(fmt(R.SecRef));
     T.cell(fmt(R.SecExact));
     T.cell(fmt(R.SecFast));
     T.cell(fmt2(R.Nodes / R.SecExact / 1e6));
     T.cell(fmt2(R.Nodes / R.SecFast / 1e6));
-    T.cell(fmt2(R.HitRate));
-    T.cell(fmt2(R.SecRef / R.SecExact));
-    T.cell(R.ReportsIdentical && R.MemHashIdentical ? "yes" : "NO");
+    T.cell(R.ReportsIdentical && R.FastStateIdentical ? "yes" : "NO");
   }
   T.print(outs());
 
-  const double HitRate =
-      NodesTotal == 0 ? 0.0 : HitWeighted / static_cast<double>(NodesTotal);
   outs() << "\nstress row (aggregate): " << NodesTotal << " nodes, exact "
-         << fmt2(NodesTotal / ExactTotal / 1e6) << " Mnodes/s (ref "
-         << fmt2(NodesTotal / RefTotal / 1e6) << ", ff "
-         << fmt2(NodesTotal / FastTotal / 1e6) << "), memo hit rate "
-         << fmt2(HitRate) << ", reports "
-         << (AllIdentical ? "byte-identical" : "DIVERGED")
-         << ", memory hashes "
-         << (AllMemHash ? "byte-identical\n" : "DIVERGED\n");
+         << fmt2(NodesTotal / ExactTotal / 1e6) << " Mnodes/s, ff "
+         << fmt2(NodesTotal / FastTotal / 1e6) << " Mnodes/s, exact reports "
+         << (AllIdentical ? "repeatable" : "NOT REPEATABLE")
+         << ", fast-forward state "
+         << (AllFastState ? "identical\n" : "DIVERGED\n");
 
   std::string Block = ",\n  \"simulator\": {\n    \"rows\": [\n";
   for (size_t I = 0; I != Rows.size(); ++I) {
     const RowResult &R = Rows[I];
     Block += "      {\"name\": \"" + R.Name + "\"";
     Block += ", \"nodes\": " + std::to_string(R.Nodes);
-    Block += ", \"ref_seconds\": " + fmt(R.SecRef);
     Block += ", \"exact_seconds\": " + fmt(R.SecExact);
     Block += ", \"fast_forward_seconds\": " + fmt(R.SecFast);
     Block += ", \"nodes_per_second_exact\": " + fmt2(R.Nodes / R.SecExact);
-    Block += ", \"nodes_per_second_ref\": " + fmt2(R.Nodes / R.SecRef);
     Block +=
         ", \"nodes_per_second_fast_forward\": " + fmt2(R.Nodes / R.SecFast);
-    Block += ", \"memo_hit_rate\": " + fmt2(R.HitRate);
     Block += std::string(", \"reports_identical\": ") +
              (R.ReportsIdentical ? "true" : "false");
-    Block += std::string(", \"memory_hash_identical\": ") +
-             (R.MemHashIdentical ? "true" : "false") + "}";
+    Block += std::string(", \"fast_forward_state_identical\": ") +
+             (R.FastStateIdentical ? "true" : "false") + "}";
     Block += I + 1 != Rows.size() ? ",\n" : "\n";
   }
   Block += "    ],\n";
   Block += "    \"stress\": {";
   Block += "\"nodes\": " + std::to_string(NodesTotal);
-  Block += ", \"ref_seconds\": " + fmt(RefTotal);
   Block += ", \"exact_seconds\": " + fmt(ExactTotal);
   Block += ", \"fast_forward_seconds\": " + fmt(FastTotal);
   Block += ", \"nodes_per_second_exact\": " + fmt2(NodesTotal / ExactTotal);
-  Block += ", \"nodes_per_second_ref\": " + fmt2(NodesTotal / RefTotal);
   Block += ", \"nodes_per_second_fast_forward\": " +
            fmt2(NodesTotal / FastTotal);
-  Block += ", \"speedup_memo\": " + fmt2(RefTotal / ExactTotal);
-  Block += ", \"memo_hit_rate\": " + fmt2(HitRate);
   Block += std::string(", \"reports_identical\": ") +
            (AllIdentical ? "true" : "false");
-  Block += std::string(", \"memory_hash_identical\": ") +
-           (AllMemHash ? "true" : "false");
+  Block += std::string(", \"fast_forward_state_identical\": ") +
+           (AllFastState ? "true" : "false");
   Block += "}\n  }\n";
 
   bench::mergeJsonBlock(OutPath, "simulator", Block);
   outs() << "merged \"simulator\" block into " << OutPath << "\n";
 
-  return AllIdentical && AllMemHash ? 0 : 1;
+  return AllIdentical && AllFastState ? 0 : 1;
 }

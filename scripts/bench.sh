@@ -13,8 +13,8 @@
 #   ./scripts/bench.sh --out=foo.json  # alternate perf_compile output
 #   ./scripts/bench.sh --sim           # also run bench/perf_sim and merge
 #                                      # its "simulator" block (nodes/s per
-#                                      # fidelity, memo hit rate) into the
-#                                      # perf_compile JSON
+#                                      # fidelity) into the perf_compile
+#                                      # JSON
 #   ./scripts/bench.sh --kway          # also run bench/fig14_kway and merge
 #                                      # its "kway" block (speedup at 1/2/4/8
 #                                      # cores, two-core byte-identity gate)
@@ -84,13 +84,14 @@ else
 fi
 
 # Simulator throughput (opt-in with --sim): bench/perf_sim times SeqSim
-# and SptSim under the three sim/SimOptions.h configurations (exact
-# reference, exact + block-timing memo, coarse fast-forward) and merges a
-# "simulator" block — nodes/s per fidelity, memo hit rate — into the
-# perf_compile JSON. perf_sim exits nonzero itself when the exact+memo
-# report is not byte-identical to the unmemoized reference (including the
-# MemoryHash) on any kernel, so only the block's presence needs checking
-# here (docs/simulation.md explains the fidelities and the memo).
+# and SptSim under the two sim/SimOptions.h fidelities (exact and coarse
+# fast-forward) and merges a "simulator" block — nodes/s per fidelity —
+# into the perf_compile JSON. perf_sim exits nonzero itself when, on any
+# kernel, a repeated exact run is not byte-identical to the first
+# (including the MemoryHash) or the fast-forward run changes
+# architectural state or a speculation counter, so only the block's
+# presence needs checking here (docs/simulation.md explains the
+# fidelities).
 if [ "$SIM" -eq 1 ]; then
   SIM_ARGS=()
   if [ "$QUICK" -eq 1 ]; then

@@ -83,11 +83,11 @@ for preset in "${PRESETS[@]}"; do
   "./$builddir/tools/sptprof" --selfcheck
   "./$builddir/tools/sptserve" --batch --corpus tests/corpus \
     --programs 50 --jobs 4 --chaos 0.3 --seed 1 --verify
-  # Simulator fast-path smoke: perf_sim --quick exits nonzero when the
-  # exact+memo simulation report diverges from the unmemoized reference
-  # in any field (including the final MemoryHash), or a fast-forward run
-  # changes architectural state — cheap enough to run under sanitizers.
-  echo "== [$preset] perf_sim --quick (simulator fast-path smoke)"
+  # Simulator smoke: perf_sim --quick exits nonzero when a repeated exact
+  # simulation differs from the first in any report field (including the
+  # final MemoryHash), or a fast-forward run changes architectural state
+  # or a speculation counter — cheap enough to run under sanitizers.
+  echo "== [$preset] perf_sim --quick (simulator smoke)"
   "./$builddir/bench/perf_sim" --quick \
     --out="$builddir/BENCH_sim_quick.json"
   # Interpreter decode differential smoke: the lockstep record-stream

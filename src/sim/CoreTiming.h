@@ -13,17 +13,8 @@
 /// configured penalty. Calls and returns push/pop per-frame scoreboards
 /// and charge a fixed overhead.
 ///
-/// One CoreTiming instance models one core; the SPT simulator runs two
-/// (main + speculative) against one shared CacheHierarchy.
-///
-/// The step accounting is split in two so the block-level timing memo
-/// (sim/TimingMemo.h) can replay it: resolve() performs the *stateful
-/// microarchitectural lookups* (cache access, predictor training) and
-/// applyTiming() the *pure scoreboard arithmetic* — a composition of max
-/// and + over the core's clocks, ring and register-ready times, which is
-/// therefore invariant under uniform time translation. onStep() is
-/// exactly resolve() followed by applyTiming(), so the memoized and the
-/// reference paths share one definition of the model.
+/// One CoreTiming instance models one core; the SPT simulator runs one
+/// per core (main + speculative) against one shared CacheHierarchy.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -108,30 +99,17 @@ public:
              BranchPredictor &Predictor,
              SimFidelity Fidelity = SimFidelity::Exact);
 
-  /// The microarchitectural inputs of one step after the stateful
-  /// lookups are resolved. Everything applyTiming() needs.
-  struct ResolvedStep {
-    const Instr *I = nullptr;
-    size_t Depth = 0;         ///< Interpreter stack depth after the step.
-    uint32_t LatCycles = 0;   ///< Final operation latency in cycles.
-    uint32_t NumSrcs = 0;     ///< == I->Srcs.size(); cached.
-    bool IsBr = false;        ///< Conditional branch (pays mispredicts).
-    bool BrCorrect = true;    ///< Predictor outcome for IsBr steps.
-    bool IsCallEnter = false;
-    bool IsReturn = false;
-  };
+  /// Accounts one executed instruction; \p Depth is the interpreter's
+  /// stack depth after the step (frames are tracked from call/return
+  /// flags).
+  void onStep(const StepResult &R, size_t Depth) {
+    if (Fidelity == SimFidelity::FastForward) {
+      fastStep(R);
+      return;
+    }
+    ++Retired;
 
-  /// Performs the stateful lookups for \p R — the cache access for
-  /// memory operations and the branch predictor training — advancing
-  /// cache/predictor state exactly. Pure scoreboard state is untouched.
-  ResolvedStep resolve(const StepResult &R, size_t Depth) {
-    ResolvedStep S;
-    S.I = R.I;
-    S.Depth = Depth;
-    S.NumSrcs = static_cast<uint32_t>(R.I->Srcs.size());
-    S.IsCallEnter = R.IsCallEnter;
-    S.IsReturn = R.IsReturn;
-
+    // Operation latency; memory operations access the cache hierarchy.
     uint64_t LatCycles = Machine.LatIntAlu;
     switch (opcodeClass(R.I->Op)) {
     case OpClass::IntAlu:
@@ -172,94 +150,68 @@ public:
     // External math builtins are heavyweight.
     if (R.I->Op == Opcode::Call && !R.IsCallEnter)
       LatCycles = Machine.MathBuiltinLatency;
-    S.LatCycles = static_cast<uint32_t>(LatCycles);
 
-    if (R.I->Op == Opcode::Br) {
-      S.IsBr = true;
-      S.BrCorrect = Predictor.predictAndTrain(R.F, R.I->Id, R.BranchTaken);
-    }
-    return S;
-  }
-
-  /// Pure scoreboard arithmetic for a resolved step: max/+ over clocks,
-  /// the in-flight ring and register-ready times. Translation-invariant
-  /// (see file comment); shared by the reference path and memo replay.
-  void applyTiming(const ResolvedStep &S) {
-    ++Retired;
     const uint64_t IssueSlot = IssueSlotSubticks;
 
     // The frame the instruction executed in: for returns, the popped
     // frame was Depth (after-pop depth + 1); otherwise the current top.
     const size_t ExecFrame =
-        S.IsReturn ? S.Depth : (S.Depth == 0 ? 0 : S.Depth - 1);
+        R.IsReturn ? Depth : (Depth == 0 ? 0 : Depth - 1);
     // For call-enters the instruction itself ran in the caller frame.
     const size_t SrcFrame =
-        S.IsCallEnter && ExecFrame > 0 ? ExecFrame - 1 : ExecFrame;
+        R.IsCallEnter && ExecFrame > 0 ? ExecFrame - 1 : ExecFrame;
 
     // Issue when a slot is free, the operands are ready, and the
     // in-flight window has room (the oldest in-flight completed).
     uint64_t IssueAt = std::max(SlotTime, InFlight[InFlightIdx]);
-    for (uint32_t N = 0; N != S.NumSrcs; ++N)
-      IssueAt = std::max(IssueAt, regReady(SrcFrame, S.I->Srcs[N]));
+    for (Reg Src : R.I->Srcs)
+      IssueAt = std::max(IssueAt, regReady(SrcFrame, Src));
     // A dependence-stalled instruction occupies no extra front-end
     // bandwidth: the static schedule places independent work in between.
     // Stalls are bounded by operand readiness and the in-flight window.
     SlotTime += IssueSlot;
 
-    const uint64_t Done =
-        IssueAt + IssueSlot + uint64_t(S.LatCycles) * SubticksPerCycle;
+    const uint64_t Done = IssueAt + IssueSlot + LatCycles * SubticksPerCycle;
     Now = std::max(Now, Done);
     InFlight[InFlightIdx] = Done;
     if (++InFlightIdx == InFlight.size())
       InFlightIdx = 0;
 
     // Results.
-    if (S.I->Dst != NoReg && !S.IsCallEnter)
-      setRegReady(SrcFrame, S.I->Dst, Done);
+    if (R.I->Dst != NoReg && !R.IsCallEnter)
+      setRegReady(SrcFrame, R.I->Dst, Done);
 
-    // Conditional branches pay the misprediction penalty on the front
-    // end.
-    if (S.IsBr && !S.BrCorrect) {
+    // Conditional branches train the predictor and pay the misprediction
+    // penalty on the front end.
+    if (R.I->Op == Opcode::Br &&
+        !Predictor.predictAndTrain(R.F, R.I->Id, R.BranchTaken)) {
       SlotTime = std::max(
           SlotTime, Done + Machine.BranchMispredictPenalty * SubticksPerCycle);
       Now = std::max(Now, SlotTime);
     }
 
     // Frame bookkeeping.
-    if (S.IsCallEnter) {
-      if (Frames.size() < S.Depth)
-        Frames.resize(S.Depth);
-      Frames[S.Depth - 1].clear();
+    if (R.IsCallEnter) {
+      if (Frames.size() < Depth)
+        Frames.resize(Depth);
+      Frames[Depth - 1].clear();
       // Arguments become ready after the call overhead; the front end
       // redirects into the callee at the same time.
       const uint64_t ArgsReady =
           IssueAt + IssueSlot + Machine.CallOverhead * SubticksPerCycle;
-      for (size_t A = 0; A != S.I->Srcs.size(); ++A)
-        setRegReady(S.Depth - 1, static_cast<Reg>(A), ArgsReady);
+      for (size_t A = 0; A != R.I->Srcs.size(); ++A)
+        setRegReady(Depth - 1, static_cast<Reg>(A), ArgsReady);
       SlotTime = std::max(SlotTime, ArgsReady);
       Now = std::max(Now, SlotTime);
-    } else if (S.IsReturn) {
-      if (Frames.size() > S.Depth)
-        Frames.resize(S.Depth);
+    } else if (R.IsReturn) {
+      if (Frames.size() > Depth)
+        Frames.resize(Depth);
       // Return redirect; the caller's destination register readiness is
       // approximated by the clock itself.
       SlotTime += Machine.CallOverhead * SubticksPerCycle / 2;
       Now = std::max(Now, SlotTime);
     }
   }
-
-  /// Accounts one executed instruction; \p Depth is the interpreter's
-  /// stack depth after the step (frames are tracked from call/return
-  /// flags).
-  void onStep(const StepResult &R, size_t Depth) {
-    if (Fidelity == SimFidelity::FastForward) {
-      fastStep(R);
-      return;
-    }
-    applyTiming(resolve(R, Depth));
-  }
-
-  bool isFastForward() const { return Fidelity == SimFidelity::FastForward; }
 
   /// Current core clock in subticks.
   uint64_t now() const { return Now; }
@@ -289,9 +241,6 @@ public:
   }
 
 private:
-  friend class BlockTimer; // The block-timing memo manipulates the
-                           // scoreboard state directly on a hit.
-
   uint64_t regReady(size_t Frame, Reg R) const {
     if (Frame >= Frames.size() || R >= Frames[Frame].size())
       return 0;

@@ -9,7 +9,6 @@
 #include "analysis/Cfg.h"
 #include "analysis/LoopInfo.h"
 #include "sim/CoreTiming.h"
-#include "sim/TimingMemo.h"
 #include "support/Debug.h"
 
 #include <memory>
@@ -63,8 +62,6 @@ SeqSimResult spt::runSequential(const Module &M, const std::string &FnName,
   CacheHierarchy Cache(Machine);
   BranchPredictor Predictor;
   CoreTiming Core(Machine, Cache, Predictor, Sim.Fidelity);
-  TimingMemo Memo;
-  BlockTimer BT(Core, Sim.Memo ? &Memo : nullptr);
 
   SeqSimResult Result;
   std::map<const Function *, std::unique_ptr<FuncLoops>> Cache_;
@@ -97,9 +94,8 @@ SeqSimResult spt::runSequential(const Module &M, const std::string &FnName,
   enterBlock(Shadow.back(), F->entry());
 
   // Timing is attributed per segment: a run of steps over which the
-  // active-loop sets are constant (bounded by block boundaries and
-  // call/return barriers — exactly where the block timer syncs the core
-  // clock). Per-step deltas telescope, so the per-loop sums are
+  // active-loop sets are constant (bounded by block boundaries, calls and
+  // returns). Per-step deltas telescope, so the per-loop sums are
   // byte-identical to per-step attribution.
   uint64_t SegStart = Core.now();
   uint64_t SegSteps = 0;
@@ -117,7 +113,7 @@ SeqSimResult spt::runSequential(const Module &M, const std::string &FnName,
 
   auto Sink = makeStepSink([&](const StepResult &R) {
     ++SegSteps;
-    BT.onStep(R, In.stackDepth());
+    Core.onStep(R, In.stackDepth());
 
     if (R.IsCallEnter) {
       closeSegment();
@@ -136,7 +132,6 @@ SeqSimResult spt::runSequential(const Module &M, const std::string &FnName,
   In.runBatch(Sink, MaxSteps);
   if (!In.done())
     spt_fatal("runSequential: step budget exhausted (infinite loop?)");
-  BT.sync();
   closeSegment();
 
   Result.Subticks = Core.now();
@@ -146,6 +141,5 @@ SeqSimResult spt::runSequential(const Module &M, const std::string &FnName,
   Result.MemoryHash = In.memoryHash();
   Result.BranchLookups = Predictor.lookups();
   Result.BranchMispredicts = Predictor.mispredicts();
-  Result.Perf = Memo.Stats;
   return Result;
 }

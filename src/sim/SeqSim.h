@@ -55,10 +55,6 @@ struct SeqSimResult {
   uint64_t BranchLookups = 0;
   uint64_t BranchMispredicts = 0;
 
-  /// Fast-path effectiveness (memo hit/miss/invalidation). Not part of
-  /// the architectural report; differential comparisons exclude it.
-  SimPerfCounters Perf;
-
   double cycles() const {
     return static_cast<double>(Subticks) / SubticksPerCycle;
   }
@@ -69,9 +65,7 @@ struct SeqSimResult {
 };
 
 /// Simulates \p FnName(\p Args) on a single core. \p Sim selects the
-/// timing fidelity and fast paths (sim/SimOptions.h); the default —
-/// exact fidelity with block-level timing memoization — is byte-identical
-/// to the unmemoized reference (SimOptions::exactNoMemo()).
+/// timing fidelity (sim/SimOptions.h); the default is exact.
 SeqSimResult runSequential(const Module &M, const std::string &FnName,
                            const std::vector<Value> &Args = {},
                            const MachineConfig &Machine = MachineConfig(),

@@ -1,4 +1,4 @@
-//===- sim/SimOptions.h - Simulation fidelity and fast-path options ---------===//
+//===- sim/SimOptions.h - Simulation fidelity and engine options ------------===//
 //
 // Part of the SPT framework (PLDI 2004 reproduction). MIT license.
 //
@@ -6,11 +6,10 @@
 ///
 /// \file
 /// Options shared by the sequential and SPT simulators: the timing
-/// fidelity and the block-level timing-memoization switch. Architectural
-/// state (results, program output, the final memory image) is identical
-/// under every setting — only how the timing layer is computed changes.
-/// See docs/simulation.md for the fidelity contract and the memoization
-/// key/invalidaton rules.
+/// fidelity and the SPT engine. Architectural state (results, program
+/// output, the final memory image) is identical under every setting —
+/// only how the timing layer is computed changes. See docs/simulation.md
+/// for the fidelity contract.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,8 +23,7 @@ namespace spt {
 /// How faithfully the timing layer is modelled.
 enum class SimFidelity : uint8_t {
   /// The scoreboarded EPIC core, the set-associative cache hierarchy and
-  /// the per-site branch predictors — the paper's machine. Reports are
-  /// byte-identical whether or not memoization is enabled.
+  /// the per-site branch predictors — the paper's machine.
   Exact,
   /// Coarse per-class fixed-latency accounting: no cache, no predictor,
   /// no scoreboard. Architectural state and every speculation counter
@@ -51,20 +49,10 @@ enum class SptSimEngine : uint8_t {
 /// (exact fidelity) bit-for-bit.
 struct SimOptions {
   SimFidelity Fidelity = SimFidelity::Exact;
-  /// Block-level timing memoization (exact fidelity only). On by
-  /// default: the memo hit path replays recorded scoreboard outcomes
-  /// whose microarchitectural inputs are verified equal, so results are
-  /// byte-identical to the unmemoized reference by construction.
-  bool Memo = true;
   /// SPT engine selection (SeqSim ignores this field).
   SptSimEngine Engine = SptSimEngine::Generalized;
 
   static SimOptions exact() { return SimOptions{}; }
-  static SimOptions exactNoMemo() {
-    SimOptions O;
-    O.Memo = false;
-    return O;
-  }
   static SimOptions fastForward() {
     SimOptions O;
     O.Fidelity = SimFidelity::FastForward;
@@ -74,27 +62,6 @@ struct SimOptions {
     SimOptions O;
     O.Engine = SptSimEngine::TwoCoreReference;
     return O;
-  }
-};
-
-/// Fast-path effectiveness counters, reported per simulation. Not part
-/// of the architectural report: differential comparisons exclude them
-/// (memoized and unmemoized runs legitimately differ here).
-struct SimPerfCounters {
-  uint64_t MemoHits = 0;
-  uint64_t MemoMisses = 0;
-  /// A block's recorded timing was discarded because the
-  /// microarchitectural state it was keyed on diverged.
-  uint64_t MemoInvalidations = 0;
-  /// Per-buffer-epoch batched violation closures run by the SPT
-  /// simulator (one per completed ghost thread).
-  uint64_t ViolationBatches = 0;
-
-  double hitRate() const {
-    const uint64_t Total = MemoHits + MemoMisses;
-    return Total == 0 ? 0.0
-                      : static_cast<double>(MemoHits) /
-                            static_cast<double>(Total);
   }
 };
 

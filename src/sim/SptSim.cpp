@@ -39,7 +39,6 @@
 
 #include "sim/CoreTiming.h"
 #include "sim/FaultInjector.h"
-#include "sim/TimingMemo.h"
 #include "support/Debug.h"
 
 #include <algorithm>
@@ -326,9 +325,9 @@ struct GhostArena {
 /// Simulates the speculative thread (one full iteration) as a ghost.
 GhostOutcome runGhost(const Module &M, Interpreter &MainIn,
                       const PendingSpec &Spec, const MachineConfig &Machine,
-                      CoreTiming &Core, TimingMemo *Memo, GhostArena &A,
+                      CoreTiming &Core, GhostArena &A,
                       SpecAddrMap &SpecBuffer, uint64_t MaxGhostSteps,
-                      FaultInjector *Injector, SimPerfCounters &Perf) {
+                      FaultInjector *Injector, uint64_t &ViolationBatches) {
   GhostOutcome Out;
 
   Interpreter Ghost(M, MainIn);
@@ -340,7 +339,6 @@ GhostOutcome runGhost(const Module &M, Interpreter &MainIn,
   Ghost.setMemHooks(&Hooks);
 
   Core.resetFor(Spec.ForkSubtick);
-  BlockTimer BT(Core, Memo);
   A.beginRun(Spec.Desc->F->numRegs());
 
   uint32_t N = 0;
@@ -350,7 +348,7 @@ GhostOutcome runGhost(const Module &M, Interpreter &MainIn,
     // returns pop theirs.
     const size_t DepthBefore =
         R.IsCallEnter ? Depth - 1 : (R.IsReturn ? Depth + 1 : Depth);
-    BT.onStep(R, Depth);
+    Core.onStep(R, Depth);
 
     // Frame the instruction read its operands in: always the top frame
     // before the step (returns pop after reading; calls push after).
@@ -411,7 +409,6 @@ GhostOutcome runGhost(const Module &M, Interpreter &MainIn,
   Ghost.runBatch(Sink, MaxGhostSteps);
 
   Ghost.setMemHooks(nullptr);
-  BT.sync();
   Out.EndSubtick = Core.now();
   Out.Instrs = N;
   A.SrcBegin.push_back(static_cast<uint32_t>(A.SrcWriters.size()));
@@ -420,7 +417,7 @@ GhostOutcome runGhost(const Module &M, Interpreter &MainIn,
   // over the SoA trace inherits re-execution from register producers and
   // speculation-buffer flow. Producers precede consumers, so the pass is
   // equivalent to the former per-access inline closure.
-  ++Perf.ViolationBatches;
+  ++ViolationBatches;
   A.Reexec.assign(N, 0);
   const uint64_t IssueSlot = SubticksPerCycle / Machine.IssueWidth;
   for (uint32_t I = 0; I != N; ++I) {
@@ -475,9 +472,6 @@ SptSimResult runSptTwoCore(const Module &M, const std::string &FnName,
   BranchPredictor MainPredictor, SpecPredictor;
   CoreTiming Core(Machine, Cache, MainPredictor, Sim.Fidelity);
   CoreTiming GhostCore(Machine, Cache, SpecPredictor, Sim.Fidelity);
-  TimingMemo Memo;
-  TimingMemo *MemoPtr = Sim.Memo ? &Memo : nullptr;
-  BlockTimer BT(Core, MemoPtr);
 
   SptSimResult Result;
 
@@ -517,12 +511,11 @@ SptSimResult runSptTwoCore(const Module &M, const std::string &FnName,
     const size_t Depth = In.stackDepth();
 
     if (State != Mode::Replay)
-      BT.onStep(R, Depth);
+      Core.onStep(R, Depth);
     else
       ++ReplayInstrs;
 
-    // Loop wall-time tracking. Fork/kill markers are block-timer
-    // barriers, so the clock is exact here.
+    // Loop wall-time tracking.
     if (R.IsFork && Loops.count(R.I->IntImm) &&
         !LoopEnterSubtick.count(R.I->IntImm))
       LoopEnterSubtick[R.I->IntImm] = Core.now();
@@ -597,9 +590,8 @@ SptSimResult runSptTwoCore(const Module &M, const std::string &FnName,
         PostForkHooks.reset();
 
         GhostOutcome Ghost =
-            runGhost(M, In, Spec, Machine, GhostCore, MemoPtr, Arena,
-                     SpecBuffer, /*MaxGhostSteps=*/1u << 20, FI,
-                     Memo.Stats);
+            runGhost(M, In, Spec, Machine, GhostCore, Arena, SpecBuffer,
+                     /*MaxGhostSteps=*/1u << 20, FI, Result.ViolationBatches);
         if (Ghost.Completed && FI && FI->shouldForceSquash())
           Ghost.Completed = false; // Injected: hardware lost the buffer.
         if (!Ghost.Completed) {
@@ -655,14 +647,12 @@ SptSimResult runSptTwoCore(const Module &M, const std::string &FnName,
   In.runBatch(Sink, MaxSteps);
   if (!In.done())
     spt_fatal("runSpt: step budget exhausted (infinite loop?)");
-  BT.sync();
 
   Result.Subticks = Core.now();
   Result.Instrs = Core.retired() + ReplayInstrs + ReexecInstrsTotal;
   Result.Result = In.returnValue();
   Result.Output = In.output();
   Result.MemoryHash = In.memoryHash();
-  Result.Perf = Memo.Stats;
 
   // One batched flush of the run's speculation counters; the simulation
   // loop above never touches the registry.
@@ -694,11 +684,7 @@ SptSimResult runSptTwoCore(const Module &M, const std::string &FnName,
     obsAdd(Obs, "sim.reexec_instrs", Tot.ReexecInstrs);
     obsAdd(Obs, "sim.iterations", Tot.Iterations);
     obsSample(Obs, "sim.reexec_per_run", Tot.ReexecInstrs);
-    // Fast-path effectiveness, batched like the rest.
-    obsAdd(Obs, "sim.memo.hits", Result.Perf.MemoHits);
-    obsAdd(Obs, "sim.memo.misses", Result.Perf.MemoMisses);
-    obsAdd(Obs, "sim.memo.invalidations", Result.Perf.MemoInvalidations);
-    obsAdd(Obs, "sim.violation.batch", Result.Perf.ViolationBatches);
+    obsAdd(Obs, "sim.violation.batch", Result.ViolationBatches);
   }
   return Result;
 }
@@ -823,9 +809,9 @@ GhostOutcome runChainGhost(const Module &M, Interpreter &MainIn,
                            const PendingSpec &Spec,
                            std::vector<ChainSlot> &Chain, uint32_t SlotIdx,
                            ChainSlot *Next, const MachineConfig &Machine,
-                           CoreTiming &Core, TimingMemo *Memo,
-                           GhostArena &A, uint64_t MaxGhostSteps,
-                           FaultInjector *Injector, SimPerfCounters &Perf) {
+                           CoreTiming &Core, GhostArena &A,
+                           uint64_t MaxGhostSteps, FaultInjector *Injector,
+                           uint64_t &ViolationBatches) {
   GhostOutcome Out;
   ChainSlot &Slot = Chain[SlotIdx];
 
@@ -838,7 +824,6 @@ GhostOutcome runChainGhost(const Module &M, Interpreter &MainIn,
   Ghost.setMemHooks(&Hooks);
 
   Core.resetFor(Slot.ForkSubtick);
-  BlockTimer BT(Core, Memo);
   A.beginRun(Spec.Desc->F->numRegs());
   Slot.ArmIndex = -1;
   Slot.RndCallsAfterArm = 0;
@@ -848,7 +833,7 @@ GhostOutcome runChainGhost(const Module &M, Interpreter &MainIn,
     const size_t Depth = Ghost.stackDepth();
     const size_t DepthBefore =
         R.IsCallEnter ? Depth - 1 : (R.IsReturn ? Depth + 1 : Depth);
-    BT.onStep(R, Depth);
+    Core.onStep(R, Depth);
     const size_t SrcFrame = DepthBefore - 1;
 
     uint8_t Direct = 0;
@@ -888,8 +873,7 @@ GhostOutcome runChainGhost(const Module &M, Interpreter &MainIn,
     }
 
     // Chain arming: this ghost's own fork marker spawns the next slot,
-    // exactly as the main core's fork spawned this one. Fork markers are
-    // block-timer barriers, so the clock is exact here.
+    // exactly as the main core's fork spawned this one.
     if (R.IsFork && R.I->IntImm == Spec.LoopId && SrcFrame == 0 && Next &&
         !Next->Armed) {
       Core.charge(Machine.ForkOverhead);
@@ -925,14 +909,13 @@ GhostOutcome runChainGhost(const Module &M, Interpreter &MainIn,
   Ghost.runBatch(Sink, MaxGhostSteps);
 
   Ghost.setMemHooks(nullptr);
-  BT.sync();
   Out.EndSubtick = Core.now();
   Out.Instrs = N;
   A.SrcBegin.push_back(static_cast<uint32_t>(A.SrcWriters.size()));
 
   // Batched violation closure, computed into the slot's persistent
   // Reexec column (later slots' loads consult it).
-  ++Perf.ViolationBatches;
+  ++ViolationBatches;
   Slot.Reexec.assign(N, 0);
   const uint64_t IssueSlot = SubticksPerCycle / Machine.IssueWidth;
   for (uint32_t I = 0; I != N; ++I) {
@@ -989,8 +972,8 @@ void propagateStaleness(const ChainSlot &Slot, ChainSlot &Next,
 /// The generalized SptSimEngine::Generalized driver: Cores-1 chained
 /// speculative slots per fork, in-order commit with cross-core violation
 /// closure, per-slot CoreTiming/BranchPredictor over the shared cache
-/// hierarchy and TimingMemo. Cores=1 disables speculation; Cores=2 is
-/// byte-identical to runSptTwoCore.
+/// hierarchy. Cores=1 disables speculation; Cores=2 is byte-identical to
+/// runSptTwoCore.
 SptSimResult runSptGeneralized(const Module &M, const std::string &FnName,
                                const std::vector<Value> &Args,
                                const std::map<int64_t, SptLoopDesc> &Loops,
@@ -1011,7 +994,7 @@ SptSimResult runSptGeneralized(const Module &M, const std::string &FnName,
 
   // One main core plus K speculative chain slots. The predictors and
   // core clocks persist across joins (slot s always runs on core s), the
-  // cache hierarchy and timing memo are shared by every core.
+  // cache hierarchy is shared by every core.
   const uint32_t K = Machine.Cores > 0 ? Machine.Cores - 1 : 0;
   CacheHierarchy Cache(Machine);
   BranchPredictor MainPredictor;
@@ -1022,9 +1005,6 @@ SptSimResult runSptGeneralized(const Module &M, const std::string &FnName,
   for (uint32_t S = 0; S != K; ++S)
     GhostCores.emplace_back(Machine, Cache, GhostPredictors[S],
                             Sim.Fidelity);
-  TimingMemo Memo;
-  TimingMemo *MemoPtr = Sim.Memo ? &Memo : nullptr;
-  BlockTimer BT(Core, MemoPtr);
 
   SptSimResult Result;
   Result.CoreStats.resize(K);
@@ -1063,7 +1043,7 @@ SptSimResult runSptGeneralized(const Module &M, const std::string &FnName,
     const size_t Depth = In.stackDepth();
 
     if (State != Mode::Replay)
-      BT.onStep(R, Depth);
+      Core.onStep(R, Depth);
     else
       ++ReplayInstrs;
 
@@ -1155,9 +1135,9 @@ SptSimResult runSptGeneralized(const Module &M, const std::string &FnName,
         for (uint32_t S = 0; S != K && Chain[S].Armed && !Cut; ++S) {
           ChainSlot *Next = S + 1 < K ? &Chain[S + 1] : nullptr;
           Chain[S].Out = runChainGhost(M, In, Spec, Chain, S, Next,
-                                       Machine, GhostCores[S], MemoPtr,
-                                       Arena, /*MaxGhostSteps=*/1u << 20,
-                                       FI, Memo.Stats);
+                                       Machine, GhostCores[S], Arena,
+                                       /*MaxGhostSteps=*/1u << 20, FI,
+                                       Result.ViolationBatches);
           if (Next && Next->Armed) {
             ++Stats.Forks;
             ++Result.CoreStats[S + 1].Forks;
@@ -1235,14 +1215,12 @@ SptSimResult runSptGeneralized(const Module &M, const std::string &FnName,
   In.runBatch(Sink, MaxSteps);
   if (!In.done())
     spt_fatal("runSpt: step budget exhausted (infinite loop?)");
-  BT.sync();
 
   Result.Subticks = Core.now();
   Result.Instrs = Core.retired() + ReplayInstrs + ReexecInstrsTotal;
   Result.Result = In.returnValue();
   Result.Output = In.output();
   Result.MemoryHash = In.memoryHash();
-  Result.Perf = Memo.Stats;
 
   if (Obs) {
     obsAdd(Obs, "sim.runs", 1);
@@ -1269,10 +1247,7 @@ SptSimResult runSptGeneralized(const Module &M, const std::string &FnName,
     obsAdd(Obs, "sim.reexec_instrs", Tot.ReexecInstrs);
     obsAdd(Obs, "sim.iterations", Tot.Iterations);
     obsSample(Obs, "sim.reexec_per_run", Tot.ReexecInstrs);
-    obsAdd(Obs, "sim.memo.hits", Result.Perf.MemoHits);
-    obsAdd(Obs, "sim.memo.misses", Result.Perf.MemoMisses);
-    obsAdd(Obs, "sim.memo.invalidations", Result.Perf.MemoInvalidations);
-    obsAdd(Obs, "sim.violation.batch", Result.Perf.ViolationBatches);
+    obsAdd(Obs, "sim.violation.batch", Result.ViolationBatches);
     // Generalized-engine chain telemetry (sim.core.*): per-slot arm /
     // commit / squash totals, flushed batched like everything else.
     uint64_t CommitsTot = 0, SquashTot = 0, ChainForks = 0;

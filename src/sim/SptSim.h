@@ -90,10 +90,10 @@ struct SptLoopRunStats {
 
 /// Per-speculative-core statistics from the generalized (N-core) engine.
 /// Core 0 is the first speculative chain slot (iteration i+1 after a
-/// fork in iteration i), core k speculates iteration i+k+1. Like Perf,
-/// this is telemetry, not architectural state: differential comparisons
-/// against the two-core reference engine exclude it (the reference
-/// engine leaves it empty).
+/// fork in iteration i), core k speculates iteration i+k+1. This is
+/// telemetry, not architectural state: differential comparisons against
+/// the two-core reference engine exclude it (the reference engine leaves
+/// it empty).
 struct SptCoreStats {
   uint64_t Forks = 0;    ///< Chain slots armed for this core.
   uint64_t Commits = 0;  ///< Slots committed in order at a join.
@@ -111,14 +111,14 @@ struct SptSimResult {
   uint64_t MemoryHash = 0;
   std::map<int64_t, SptLoopRunStats> PerLoop;
 
-  /// Fast-path effectiveness (memo hit/miss/invalidation, batched
-  /// violation closures). Not part of the architectural report;
-  /// differential comparisons exclude it.
-  SimPerfCounters Perf;
+  /// Batched violation closures run: one per simulated speculative
+  /// thread, joined or squashed. Telemetry, not part of the
+  /// architectural report.
+  uint64_t ViolationBatches = 0;
 
   /// Generalized-engine per-speculative-core telemetry (size Cores-1;
   /// empty from the two-core reference engine). Excluded from
-  /// differential comparisons, like Perf.
+  /// differential comparisons.
   std::vector<SptCoreStats> CoreStats;
 
   double cycles() const {
@@ -140,12 +140,10 @@ class FaultInjector;
 /// \p Obs, when non-null, receives a "sim.runSpt" span and the run's
 /// speculation counters (squashes, violations, re-executed instructions),
 /// flushed once at the end of the run.
-/// \p Sim selects the timing fidelity and fast paths (sim/SimOptions.h).
+/// \p Sim selects the timing fidelity and the engine (sim/SimOptions.h).
 /// Speculation outcomes (forks, joins, squashes, violations, re-executed
 /// slices) are functions of architectural state only, so every counter
-/// and all architectural fields are bit-identical across fidelities; the
-/// default exact+memo configuration is byte-identical to the unmemoized
-/// reference in every field.
+/// and all architectural fields are bit-identical across fidelities.
 SptSimResult runSpt(const Module &M, const std::string &FnName,
                     const std::vector<Value> &Args,
                     const std::map<int64_t, SptLoopDesc> &Loops,
