@@ -120,6 +120,13 @@ if [[ " ${PRESETS[*]} " == *" default "* ]]; then
   echo "== [default] perf_compile --quick"
   ./build/bench/perf_compile --quick --out=build/BENCH_compile_quick.json
 
+  # Dependence-oracle smoke: per workload, an artifact-fed compile must
+  # never simulate slower than the in-run default, the measurements must
+  # change at least one partition vs static-only, and every simulation's
+  # architectural results must match (see docs/profiling.md).
+  echo "== [default] perf_oracle --quick (dependence-oracle smoke)"
+  ./build/bench/perf_oracle --quick --out=build/BENCH_oracle_quick.json
+
   # Trace-enabled smoke: compile the workload suite (gzip et al.) with
   # observability on, then validate both artifacts — the Chrome trace
   # must parse and nest, the stats dump must be well-formed JSON and

@@ -341,7 +341,6 @@ LoopDepGraph LoopDepGraph::build(const Module &M, const Function &F,
     Q.Cross = Cross;
     Q.SrcIterFreq = G.Stmts[SrcSI].IterFreq;
     Q.DstIterFreq = G.Stmts[DstSI].IterFreq;
-    Q.Profile = Opts.DepProfile;
     if (std::optional<DepEstimate> E = Orc.dependence(Q))
       return E->Prob;
     return 0.0;

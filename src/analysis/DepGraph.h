@@ -33,7 +33,6 @@
 #include "analysis/Cfg.h"
 #include "analysis/Freq.h"
 #include "analysis/LoopInfo.h"
-#include "analysis/ProfileData.h"
 #include "ir/IR.h"
 
 #include <algorithm>
@@ -82,13 +81,11 @@ class DepOracle;
 
 /// Inputs that vary by compilation mode (Section 8's basic/best).
 struct DepGraphOptions {
-  /// Dependence profile for this loop; null => static type-based aliasing.
-  const LoopDepProfileData *DepProfile = nullptr;
   /// Probability source for edge annotation. Every flow/control
-  /// probability estimate routes through this oracle (DepProfile is
-  /// handed to it as the in-run profile); null uses the process-wide
-  /// default ensemble, which reproduces the historical hard-wired
-  /// behavior byte for byte. See analysis/oracle/DepOracle.h.
+  /// probability estimate routes through this oracle, including the
+  /// measured dependence profiles it holds as members; null uses the
+  /// process-wide default ensemble (static analysis only). See
+  /// analysis/oracle/DepOracle.h.
   const DepOracle *Oracle = nullptr;
   /// When false, memory effects of calls are ignored while *estimating*
   /// probabilities (legality stays conservative). Mirrors the paper's

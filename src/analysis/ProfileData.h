@@ -6,8 +6,8 @@
 ///
 /// \file
 /// Plain data produced by the offline profilers (profile/) and consumed by
-/// the analyses. Lives in analysis/ so the dependence-graph builder does
-/// not depend on the profiling implementation — mirroring the paper, where
+/// the analyses. Lives in analysis/ so the dependence oracles do not
+/// depend on the profiling implementation — mirroring the paper, where
 /// "there was no change to the underlying cost computation module" when
 /// profile feedback was added (Section 7.3).
 ///
@@ -21,7 +21,9 @@
 
 #include <cstdint>
 #include <map>
+#include <string>
 #include <utility>
+#include <vector>
 
 namespace spt {
 
@@ -43,32 +45,47 @@ struct MemDepCounts {
   uint64_t Far = 0;   ///< Read a value written two or more iterations ago.
 };
 
-/// Dependence profile of one loop. Statement ids refer to the loop's
-/// enclosing function; accesses performed inside callees are attributed to
-/// the Call statement in the loop body.
-struct LoopDepProfileData {
-  /// (writer stmt, reader stmt) -> counts.
-  std::map<std::pair<StmtId, StmtId>, MemDepCounts> Pairs;
-  /// Executions of each memory-touching statement while the loop was the
-  /// attribution context.
-  std::map<StmtId, uint64_t> StmtExec;
+/// Measured dependence data for one loop, identified structurally
+/// (function name + header block) so it survives serialization and
+/// re-parsing of the same canonical source. Statement ids refer to the
+/// loop's enclosing function; accesses performed inside callees are
+/// attributed to the Call statement in the loop body.
+struct DepArtifactLoop {
+  std::string Func;
+  BlockId Header = 0;
   uint64_t Activations = 0; ///< Times the loop was entered.
   /// Total header visits, including the final visit that exits the loop
   /// (so a counted for-loop with trip count T contributes T+1 per
   /// activation).
   uint64_t Iterations = 0;
+  /// Executions of each memory-touching statement while the loop was
+  /// active.
+  std::map<StmtId, uint64_t> StmtExec;
+  /// (writer, reader) -> how often the reader observed the writer's value
+  /// same-iteration / next-iteration / further back.
+  std::map<std::pair<StmtId, StmtId>, MemDepCounts> Pairs;
 };
 
-/// Dependence profiles for every loop of a module, keyed by
-/// (function, loop id within its LoopNest).
-struct DepProfileData {
-  std::map<std::pair<const Function *, uint32_t>, LoopDepProfileData> PerLoop;
-
-  const LoopDepProfileData *profileFor(const Function *F,
-                                       uint32_t LoopId) const {
-    auto It = PerLoop.find({F, LoopId});
-    return It == PerLoop.end() ? nullptr : &It->second;
-  }
+/// The one dependence profile of a module: what a profiling run measured
+/// for every loop it entered. A compilation's own stage-B run produces
+/// one (ProfileBundle::Deps, unsealed: ModuleHash and Checksum stay 0);
+/// profile/DepProfiler.h seals it into a serializable, checksum-verified
+/// artifact that later compilations can be fed.
+struct DepProfileArtifact {
+  /// fnv1a of the module's canonical reprint (moduleReprintHash); 0 until
+  /// sealed.
+  uint64_t ModuleHash = 0;
+  /// Free-form provenance label (workload name, input description).
+  std::string Workload;
+  /// Interpreter steps the profiling run executed.
+  uint64_t Steps = 0;
+  /// Sorted by (Func, Header); unique keys.
+  std::vector<DepArtifactLoop> Loops;
+  /// fnv1a(serialized payload) ^ ModuleHash; 0 until sealed. Maintained
+  /// by profileDependenceArtifact / serializeDepProfile /
+  /// parseDepProfile; this is the fingerprint the serve compile-cache key
+  /// folds in.
+  uint64_t Checksum = 0;
 };
 
 /// Value-pattern statistics for one statement's destination register,

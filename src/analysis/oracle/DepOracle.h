@@ -12,26 +12,20 @@
 /// is sourced from a `DepOracle` instead of hard-wired formulas scattered
 /// through DepGraph/SptCompiler.
 ///
-/// An oracle member answers a query with an estimate carrying a
-/// *probability* and a *confidence*; the `DepOracleEnsemble` runs its
-/// members in a fixed priority order and picks, deterministically, the
-/// first answer whose confidence clears the configured floor (falling
-/// back to the last answer when none does). The stock ensemble is
+/// A member answers a query with a probability or abstains; the
+/// `DepOracleEnsemble` runs its members in a fixed priority order and the
+/// first member that answers wins. The compiler's ensemble is
 ///
-///   measured artifact > in-run profile > static heuristic > speculation
+///   supplied artifact > in-run profile > edge counts > static heuristic
 ///
-/// which with the default floor of 0.0 reproduces the historical
-/// behavior byte for byte: the in-run dependence profile when stage B
-/// collected one, the static frequency heuristic otherwise, and the
-/// speculation fallback never (something earlier always answers).
-/// Raising the floor above the static confidence (0.25) makes the
-/// ensemble *refuse* modeled guesses and speculate blindly instead —
-/// the SCAF trade of analysis effort against misspeculation cost.
+/// where both profile members are `MeasuredDepOracle`s over a
+/// `DepProfileArtifact` (analysis/ProfileData.h): the artifact a caller
+/// supplied, and the one the compilation's own profiling run measured.
+/// The edge-count member answers only branch probabilities, the measured
+/// members only memory dependences, and the static member everything.
 ///
 /// Members are pure functions of the query (no hidden state), so a given
-/// ensemble is deterministic and safe to share across threads. The
-/// measured member is built from a serialized profile artifact by
-/// profile/DepProfiler.h; analysis/ itself has no profile/ dependency.
+/// ensemble is deterministic and safe to share across threads.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,15 +41,15 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace spt {
 
-/// Which kind of dependence edge a query is about. Profile-backed members
-/// only speak for memory (that is what the dependence profiler records);
+/// Which kind of dependence edge a query is about. Measured members only
+/// speak for memory (that is what the dependence profiler records);
 /// the static member answers every channel with the frequency-ratio
 /// heuristic the cost model has always used.
 enum class DepChannel : uint8_t {
@@ -79,16 +73,12 @@ struct DepQuery {
   /// Expected executions per loop iteration of each endpoint (FreqInfo).
   double SrcIterFreq = 0.0;
   double DstIterFreq = 0.0;
-  /// In-run dependence profile for this loop when stage B collected one;
-  /// null otherwise. Only the in-run profiled member reads it.
-  const LoopDepProfileData *Profile = nullptr;
 };
 
-/// One member's answer: a probability in [0,1] plus how much the member
-/// trusts it. Source names the member for diagnostics/observability.
+/// One member's answer: a probability in [0,1]. Source names the member
+/// for diagnostics/observability.
 struct DepEstimate {
   double Prob = 0.0;
-  double Confidence = 0.0;
   const char *Source = "";
 };
 
@@ -109,14 +99,14 @@ struct BranchProbQuery {
 struct BranchProbEstimate {
   CfgProbabilities Probs;
   bool Measured = false;
-  double Confidence = 0.0;
   const char *Source = "";
 };
 
 /// Abstract probability source. Members return std::nullopt for queries
-/// they have nothing to say about (wrong channel, no data); the ensemble
-/// then moves on to the next member. Implementations must be pure
-/// functions of the query: no mutation, no hidden state, thread-safe.
+/// they have nothing to say about (wrong channel, no data) — the default
+/// for both queries — and the ensemble then moves on to the next member.
+/// Implementations must be pure functions of the query: no mutation, no
+/// hidden state, thread-safe.
 class DepOracle {
 public:
   virtual ~DepOracle() = default;
@@ -124,24 +114,13 @@ public:
   virtual const char *name() const = 0;
 
   /// Probability that the dependence in \p Q occurs.
-  virtual std::optional<DepEstimate> dependence(const DepQuery &Q) const = 0;
+  virtual std::optional<DepEstimate> dependence(const DepQuery &Q) const;
 
   /// Per-edge branch probabilities for Q.F, or nullopt when this member
   /// has no basis for an answer.
   virtual std::optional<BranchProbEstimate>
-  branchProbabilities(const BranchProbQuery &Q) const = 0;
+  branchProbabilities(const BranchProbQuery &Q) const;
 };
-
-/// Static member confidences / fallback constants, exposed so tests and
-/// callers picking a ConfidenceFloor can position themselves relative to
-/// the stock members without magic numbers.
-inline constexpr double StaticOracleConfidence = 0.25;
-inline constexpr double FallbackOracleConfidence = 0.1;
-/// Speculation fallback: assume loop-carried deps basically never fire
-/// (speculate everything) and same-iteration deps always hold.
-inline constexpr double FallbackCrossProb = 0.05;
-/// Profile-backed confidence saturates at this many observed iterations.
-inline constexpr double ProfiledSaturationIters = 8.0;
 
 /// The frequency-ratio heuristic DepGraph has always used: the sink runs
 /// DstIterFreq times per iteration, the source SrcIterFreq times, so the
@@ -156,42 +135,48 @@ public:
   branchProbabilities(const BranchProbQuery &Q) const override;
 };
 
-/// The in-run profile member: speaks only when the compilation's own
-/// stage-B dependence profile (DepQuery::Profile) is present, and only
-/// for the memory channel; reproduces the historical profiled formula
-/// including its confident zero answers (writer never observed, or pair
-/// never conflicted ⇒ probability 0). Branch probabilities come from
+/// The edge-count member: branch probabilities from
 /// CfgProbabilities::fromEdgeCounts when the counts still match the
-/// function's shape and show at least one executed block.
+/// function's shape and show at least one executed block. Answers no
+/// dependence query.
 class ProfiledDepOracle final : public DepOracle {
 public:
   const char *name() const override { return "profile"; }
-  std::optional<DepEstimate> dependence(const DepQuery &Q) const override;
   std::optional<BranchProbEstimate>
   branchProbabilities(const BranchProbQuery &Q) const override;
 };
 
-/// The speculation member: always answers memory queries with "just
-/// speculate" (cross-iteration deps almost never fire, intra-iteration
-/// deps always hold) at low confidence. Last resort when the floor
-/// disqualifies modeled guesses. Never answers branch probabilities.
-class SpeculationFallbackOracle final : public DepOracle {
+/// The measured member over one dependence profile. Answers only
+/// memory-channel queries, only for loops the profile observed, and only
+/// when the profiling run saw both statements execute inside the loop:
+/// then the probability is the pair's intra or cross hit count per writer
+/// execution (0 when the pair never conflicted). Queries naming a
+/// statement with no execution record — clones minted by unrolling after
+/// measurement, code the run never reached — abstain, so the ensemble
+/// falls through to static analysis instead of trusting a vacuous zero.
+/// Callers are responsible for the module handshake (ModuleHash): the
+/// query carries no module identity.
+class MeasuredDepOracle final : public DepOracle {
 public:
-  const char *name() const override { return "fallback"; }
+  explicit MeasuredDepOracle(std::shared_ptr<const DepProfileArtifact> A);
+
+  const char *name() const override { return "measured"; }
   std::optional<DepEstimate> dependence(const DepQuery &Q) const override;
-  std::optional<BranchProbEstimate>
-  branchProbabilities(const BranchProbQuery &Q) const override;
+
+private:
+  std::shared_ptr<const DepProfileArtifact> Artifact;
+  /// (function name, header) -> loop. The names view Artifact's strings,
+  /// so a query looks its loop up without allocating.
+  std::map<std::pair<std::string_view, BlockId>, const DepArtifactLoop *>
+      Index;
 };
 
-/// Priority-ordered combiner. For each query: the first member whose
-/// answer's confidence clears the floor wins; if every answer falls
-/// short, the last answer wins (better a low-confidence estimate than
-/// none); if no member answers, neither does the ensemble.
+/// Priority-ordered combiner: for each query the first member that
+/// answers wins; if no member answers, neither does the ensemble.
 class DepOracleEnsemble final : public DepOracle {
 public:
   DepOracleEnsemble(std::string Name,
-                    std::vector<std::shared_ptr<const DepOracle>> Members,
-                    double ConfidenceFloor);
+                    std::vector<std::shared_ptr<const DepOracle>> Members);
 
   const char *name() const override { return EnsembleName.c_str(); }
   std::optional<DepEstimate> dependence(const DepQuery &Q) const override;
@@ -201,36 +186,28 @@ public:
   const std::vector<std::shared_ptr<const DepOracle>> &members() const {
     return Members;
   }
-  double confidenceFloor() const { return Floor; }
 
 private:
   std::string EnsembleName;
   std::vector<std::shared_ptr<const DepOracle>> Members;
-  double Floor;
 };
 
-/// Everything a registry factory may want: the combiner floor and the
-/// measured-artifact member (built by profile/DepProfiler.h from a
-/// deserialized artifact; null when no artifact was supplied).
+/// Everything a registry factory may want: the measured members, highest
+/// priority first (empty when the compilation has no dependence profile).
 struct DepOracleConfig {
-  double ConfidenceFloor = 0.0;
-  std::shared_ptr<const DepOracle> Measured;
+  std::vector<std::shared_ptr<const DepOracle>> Measured;
 };
 
-/// Name → oracle factory. Built-ins: "ensemble" (measured > profile >
-/// static > fallback), "static", "profile" (profile > static),
-/// "fallback", "measured" (measured > static). create() returns null for
-/// unknown names — callers degrade to the default ensemble and diagnose.
+/// Name -> oracle factory. Built-ins: "ensemble" (measured members >
+/// edge counts > static) and "static" (the static member alone).
+/// create() returns null for unknown names — callers degrade to the
+/// default ensemble and diagnose.
 class DepOracleRegistry {
 public:
   using Factory =
       std::function<std::shared_ptr<const DepOracle>(const DepOracleConfig &)>;
 
-  static DepOracleRegistry &instance();
-
-  /// Register a factory; returns false (and changes nothing) when the
-  /// name is already taken.
-  bool add(const std::string &Name, Factory F);
+  static const DepOracleRegistry &instance();
 
   std::shared_ptr<const DepOracle> create(const std::string &Name,
                                           const DepOracleConfig &Config) const;
@@ -241,13 +218,12 @@ public:
 private:
   DepOracleRegistry();
 
-  mutable std::mutex Mu;
   std::map<std::string, Factory> Factories;
 };
 
-/// The process-wide default: the stock ensemble with no measured member
-/// and a 0.0 floor — byte-identical to the pre-oracle hard-wired
-/// behavior. Used whenever a caller does not supply an oracle.
+/// The process-wide default: the stock ensemble with no measured member —
+/// byte-identical to the pre-oracle hard-wired behavior. Used whenever a
+/// caller does not supply an oracle.
 const DepOracle &defaultDepOracle();
 
 } // namespace spt

@@ -88,26 +88,20 @@ struct FuncAnalysis {
       : Cfg(CfgInfo::compute(F)), Nest(LoopNest::compute(F, Cfg)) {
     if (Prof)
       Counts = Prof->countsFor(&F);
-    // Branch probabilities come from the oracle; its profiled member
+    // Branch probabilities come from the oracle; its edge-count member
     // validates Counts (shape match, at least one executed block) and
-    // the static member answers otherwise. Counts stays raw either way —
-    // downstream guards (SVP sampling, trip-count reporting) apply their
-    // own shape checks.
+    // the static member, last in every registry ensemble, answers
+    // otherwise. Counts stays raw either way — downstream guards (SVP
+    // sampling, trip-count reporting) apply their own shape checks.
     BranchProbQuery Q;
     Q.F = &F;
     Q.Cfg = &Cfg;
     Q.Nest = &Nest;
     Q.Counts = Counts;
-    if (std::optional<BranchProbEstimate> E = Oracle.branchProbabilities(Q)) {
-      Probs = std::move(E->Probs);
-      Freq = E->Measured ? FreqInfo::fromBlockCounts(F, *Counts)
-                         : FreqInfo::compute(F, Cfg, Nest, Probs);
-    } else {
-      // No member answered (e.g. the pure-fallback oracle): keep the
-      // static heuristic so frequencies stay well-defined.
-      Probs = CfgProbabilities::staticHeuristic(F, Cfg, Nest);
-      Freq = FreqInfo::compute(F, Cfg, Nest, Probs);
-    }
+    BranchProbEstimate E = *Oracle.branchProbabilities(Q);
+    Probs = std::move(E.Probs);
+    Freq = E.Measured ? FreqInfo::fromBlockCounts(F, *Counts)
+                      : FreqInfo::compute(F, Cfg, Nest, Probs);
   }
 
   const Loop *loopByHeader(BlockId Header) const {
@@ -141,11 +135,8 @@ computeFunctionWeights(const Module &M, const DepOracle &Oracle) {
       Q.F = F;
       Q.Cfg = &Cfg;
       Q.Nest = &Nest;
-      std::optional<BranchProbEstimate> E = Oracle.branchProbabilities(Q);
-      CfgProbabilities Probs =
-          E ? std::move(E->Probs)
-            : CfgProbabilities::staticHeuristic(*F, Cfg, Nest);
-      FreqInfo Freq = FreqInfo::compute(*F, Cfg, Nest, Probs);
+      FreqInfo Freq = FreqInfo::compute(*F, Cfg, Nest,
+                                        Oracle.branchProbabilities(Q)->Probs);
       double W = 0.0;
       for (const auto &BB : *F) {
         const double BF = Freq.blockFreq(BB->id());
@@ -214,6 +205,7 @@ public:
         Obs = OwnedObs.get();
       }
     }
+    checkOracleInputs();
     buildOracle();
   }
 
@@ -247,12 +239,10 @@ private:
 
   void validateExternalProfile();
 
-  /// Builds the dependence-oracle ensemble the whole compilation queries.
-  /// Unknown registry names and artifacts measured on a different module
-  /// degrade gracefully: diagnostic + the default configuration.
-  void buildOracle() {
-    DepOracleConfig Config;
-    Config.ConfidenceFloor = Opts.Analysis.ConfidenceFloor;
+  /// Checks the supplied artifact against the module and the oracle name
+  /// against the registry, once: a mismatch degrades gracefully to a
+  /// diagnostic plus the default configuration.
+  void checkOracleInputs() {
     if (Opts.Analysis.Profile) {
       if (Opts.Analysis.Profile->ModuleHash != moduleReprintHash(M)) {
         const std::string From = Opts.Analysis.ProfilePath.empty()
@@ -264,42 +254,23 @@ private:
                               " was built from a different module; ignoring "
                               "its measurements");
       } else {
-        Config.Measured = makeMeasuredDepOracle(Opts.Analysis.Profile);
+        Supplied = Opts.Analysis.Profile;
       }
     }
-    Oracle = DepOracleRegistry::instance().create(
-        Opts.Analysis.DependenceOracle, Config);
-    if (!Oracle) {
+    OracleName = Opts.Analysis.DependenceOracle;
+    if (!DepOracleRegistry::instance().create(OracleName, DepOracleConfig{})) {
       Report.Diags.warn(DiagStage::Driver,
-                        "unknown dependence oracle '" +
-                            Opts.Analysis.DependenceOracle +
+                        "unknown dependence oracle '" + OracleName +
                             "'; using the default ensemble");
-      Oracle = DepOracleRegistry::instance().create("ensemble", Config);
-    }
-    // Twin ensemble without the measured member, routed to loops whose
-    // bodies unrolling reshapes after the artifact was measured: their
-    // pre-unroll per-iteration frequencies no longer describe the
-    // compiled shape, so the in-run profile (collected post-unroll) or
-    // static analysis must answer instead. Mirrors the FuncAnalysis
-    // size guard that screens stale external edge counts.
-    if (Config.Measured) {
-      DepOracleConfig Bare = Config;
-      Bare.Measured = nullptr;
-      OracleNoMeasured = DepOracleRegistry::instance().create(
-          Opts.Analysis.DependenceOracle, Bare);
-      if (!OracleNoMeasured)
-        OracleNoMeasured = DepOracleRegistry::instance().create("ensemble", Bare);
-    } else {
-      OracleNoMeasured = Oracle;
+      OracleName = "ensemble";
     }
   }
 
-  DepGraphOptions depGraphOptions(const Function &F, const Loop &L) const {
+  void buildOracle();
+
+  DepGraphOptions depGraphOptions() const {
     DepGraphOptions DG;
-    DG.Oracle = Unrolled.count({F.name(), L.Header}) ? OracleNoMeasured.get()
-                                                     : Oracle.get();
-    if (wantDepProfiles() && Profile)
-      DG.DepProfile = Profile->Deps.profileFor(&F, L.Id);
+    DG.Oracle = Oracle.get();
     DG.ModelCallEffectsInCost = Opts.Enabling.ModelCallEffectsInCost;
     DG.AllowImpureCallMotion =
         Opts.Mode == CompilationMode::Anticipated && !DegradedToBasic;
@@ -349,15 +320,17 @@ private:
   ObsContext *Obs = nullptr;
   std::unique_ptr<ObsContext> OwnedObs;
   CompilationReport Report;
+  /// Registry name of the ensemble (checked in checkOracleInputs).
+  std::string OracleName;
+  /// The supplied artifact once it passed the module handshake; null
+  /// otherwise. buildOracle drops the loops unrolling reshaped from it.
+  std::shared_ptr<const DepProfileArtifact> Supplied;
   /// The probability source every stage queries (never null after the
-  /// constructor). Shared so the registry can hand out one ensemble to
-  /// many concurrent compilations.
+  /// constructor); rebuilt by buildOracle whenever its inputs change.
   std::shared_ptr<const DepOracle> Oracle;
-  /// Oracle minus the measured artifact member; consulted for loops
-  /// unrolling reshaped (see buildOracle). Aliases Oracle when no
-  /// artifact is installed.
-  std::shared_ptr<const DepOracle> OracleNoMeasured;
-  std::unique_ptr<ProfileBundle> Profile;
+  /// Shared so the in-run dependence profile can back an oracle member
+  /// without a copy.
+  std::shared_ptr<ProfileBundle> Profile;
   /// Set once profile data proved unusable; flips the mode-dependent
   /// switches above to Basic semantics for the rest of the run.
   bool DegradedToBasic = false;
@@ -376,6 +349,33 @@ private:
   /// Pass-1 loop block sets for overlap detection in pass 2.
   std::map<std::pair<std::string, BlockId>, std::set<BlockId>> LoopBlocks;
 };
+
+/// The one ensemble every stage queries, members in priority order: the
+/// supplied artifact minus the loops unrolling reshaped (their clones
+/// carry statement ids the measurements never observed, and their
+/// per-iteration counts describe the old shape — without them the member
+/// abstains there), then this run's own dependence profile, then the
+/// registry's edge-count and static members. Runs before stage A and
+/// again after stage A, after stage B and after the post-SVP re-profile.
+void Compilation::buildOracle() {
+  DepOracleConfig Config;
+  if (Supplied) {
+    auto Reshaped = [&](const DepArtifactLoop &L) {
+      return Unrolled.count({L.Func, L.Header}) != 0;
+    };
+    if (std::any_of(Supplied->Loops.begin(), Supplied->Loops.end(),
+                    Reshaped)) {
+      auto Kept = std::make_shared<DepProfileArtifact>(*Supplied);
+      std::erase_if(Kept->Loops, Reshaped);
+      Supplied = std::move(Kept);
+    }
+    Config.Measured.push_back(std::make_shared<MeasuredDepOracle>(Supplied));
+  }
+  if (wantDepProfiles() && Profile)
+    Config.Measured.push_back(std::make_shared<MeasuredDepOracle>(
+        std::shared_ptr<const DepProfileArtifact>(Profile, &Profile->Deps)));
+  Oracle = DepOracleRegistry::instance().create(OracleName, Config);
+}
 
 void Compilation::stageUnroll() {
   for (Function *F : definedFunctions()) {
@@ -449,9 +449,8 @@ void Compilation::validateExternalProfile() {
       return;
     }
   }
-  for (const auto &[Key, Dep] : B.Deps.PerLoop) {
-    (void)Dep;
-    if (!Known.count(Key.first)) {
+  for (const DepArtifactLoop &L : B.Deps.Loops) {
+    if (!M.findFunction(L.Func)) {
       degradeToBasic("external dependence profile references a function "
                      "outside this module");
       return;
@@ -473,9 +472,9 @@ void Compilation::stageProfile() {
     // per-function size guard in FuncAnalysis falls back to static
     // heuristics for any function unrolling reshaped — but drop profiles
     // a degraded run must not trust.
-    Profile = std::make_unique<ProfileBundle>(*Opts.ExternalProfile);
+    Profile = std::make_shared<ProfileBundle>(*Opts.ExternalProfile);
     if (DegradedToBasic) {
-      Profile->Deps.PerLoop.clear();
+      Profile->Deps.Loops.clear();
       Profile->Values.PerStmt.clear();
     }
     return;
@@ -502,7 +501,7 @@ void Compilation::stageProfile() {
           const Loop *L = A.Nest.loop(LI);
           LoopDepGraph G = LoopDepGraph::build(M, *F, A.Cfg, A.Nest, *L,
                                                A.Freq, Effects,
-                                               depGraphOptions(*F, *L));
+                                               depGraphOptions());
           for (uint32_t Vc : G.violationCandidates()) {
             const LoopStmt &S = G.stmt(Vc);
             if (S.I->Dst != NoReg && S.I->Ty == Type::Int)
@@ -518,13 +517,13 @@ void Compilation::stageProfile() {
     }
   }
 
-  Profile = std::make_unique<ProfileBundle>(
+  Profile = std::make_shared<ProfileBundle>(
       profileRun(M, Opts.ProfileEntry, Opts.ProfileArgs, POpts));
   if (!Profile->Completed) {
     degradeToBasic("profiling run failed (" + Profile->Error + ")");
     // The partial edge counts are still honest measurements; dependence
     // and value profiles cut off mid-run are not safe to optimize on.
-    Profile->Deps.PerLoop.clear();
+    Profile->Deps.Loops.clear();
     Profile->Values.PerStmt.clear();
   }
 }
@@ -561,7 +560,7 @@ void Compilation::stageSvp() {
           continue;
         LoopDepGraph G = LoopDepGraph::build(M, *F, A.Cfg, A.Nest, *L,
                                              A.Freq, Effects,
-                                             depGraphOptions(*F, *L));
+                                             depGraphOptions());
         MisspecCostModel Model(G, Opts.ReferencePartitionEvaluation);
         PartitionSearch Search(G, Model, partitionOptions());
         PartitionResult Current = Search.run();
@@ -606,7 +605,7 @@ void Compilation::stageSvp() {
     POpts.Cancel = Opts.Cancel;
     POpts.Obs = Obs;
     ValueProfileData SavedValues = std::move(Profile->Values);
-    Profile = std::make_unique<ProfileBundle>(
+    Profile = std::make_shared<ProfileBundle>(
         profileRun(M, Opts.ProfileEntry, Opts.ProfileArgs, POpts));
     Profile->Values = std::move(SavedValues);
     if (!Profile->Completed) {
@@ -615,9 +614,10 @@ void Compilation::stageSvp() {
       // guided decisions.
       degradeToBasic("re-profiling after SVP failed (" + Profile->Error +
                      ")");
-      Profile->Deps.PerLoop.clear();
+      Profile->Deps.Loops.clear();
       Profile->Values.PerStmt.clear();
     }
+    buildOracle();
   }
 }
 
@@ -673,7 +673,7 @@ void Compilation::evaluateLoopCandidate(const Function &F,
 
   try {
     LoopDepGraph G = LoopDepGraph::build(M, F, A.Cfg, A.Nest, L, A.Freq,
-                                         Effects, depGraphOptions(F, L));
+                                         Effects, depGraphOptions());
     MisspecCostModel Model(G, Opts.ReferencePartitionEvaluation);
     PartitionSearch Search(G, Model, partitionOptions());
     Rec.Partition = Search.run();
@@ -878,7 +878,7 @@ void Compilation::passTwo() {
       continue;
     }
     LoopDepGraph G = LoopDepGraph::build(M, *F, A.Cfg, A.Nest, *L, A.Freq,
-                                         Effects, depGraphOptions(*F, *L));
+                                         Effects, depGraphOptions());
     MisspecCostModel Model(G, Opts.ReferencePartitionEvaluation);
     PartitionResult P = PartitionSearch(G, Model, partitionOptions()).run();
     if (P.BudgetExhausted) {
@@ -964,11 +964,13 @@ CompilationReport Compilation::run() {
   if (!Cancelled()) {
     ObsSpan S(Obs, "stageA.unroll");
     stageUnroll();
+    buildOracle();
     FuncWeights = computeFunctionWeights(M, *Oracle); // Unrolling grew some bodies.
   }
   if (!Cancelled()) {
     ObsSpan S(Obs, "stageB.profile");
     stageProfile();
+    buildOracle();
   }
   if (!Cancelled() && Profile) {
     ObsSpan S(Obs, "stageC.svp");

@@ -147,31 +147,20 @@ struct SptCompilerOptions {
   } Enabling;
 
   /// Probability sourcing for the cost model: which dependence-oracle
-  /// ensemble to build, the measured profile artifact to feed its
-  /// measured member, and the combiner thresholds. See
+  /// ensemble to build and the measured profile artifact to feed it. See
   /// analysis/oracle/DepOracle.h and docs/profiling.md.
   struct AnalysisOptions {
-    /// Registry name of the oracle to build ("ensemble", "static",
-    /// "profile", "fallback", "measured", or a caller-registered name).
+    /// Registry name of the oracle to build ("ensemble" or "static").
     /// Unknown names degrade to the default ensemble with a diagnostic.
     std::string DependenceOracle = "ensemble";
-    /// Measured dependence-profile artifact for the ensemble's measured
-    /// member; null compiles without one (the historical behavior).
-    /// Ignored with a diagnostic when the artifact's ModuleHash does not
-    /// match the module being compiled. Shared, not copied: callers keep
-    /// the artifact alive via the shared_ptr.
+    /// Measured dependence-profile artifact, the ensemble's first member;
+    /// null compiles with the in-run profile only (the historical
+    /// behavior). Ignored with a diagnostic when the artifact's
+    /// ModuleHash does not match the module being compiled. Shared, not
+    /// copied: callers keep the artifact alive via the shared_ptr.
     std::shared_ptr<const DepProfileArtifact> Profile;
     /// Provenance of Profile (file path or label) for diagnostics only.
     std::string ProfilePath;
-    /// Minimum member confidence the ensemble combiner accepts before
-    /// falling through to lower-priority members. 0.0 (default)
-    /// reproduces the pre-oracle behavior byte for byte.
-    double ConfidenceFloor = 0.0;
-    /// depProfileDrift level above which serving infrastructure should
-    /// consider Profile stale and recompile with a fresh one. The
-    /// compiler itself does not act on it; sptserve's drift scenario and
-    /// custom schedulers read it from the options.
-    double DriftThreshold = 0.25;
   } Analysis;
 
   /// The span/counter observability layer (docs/observability.md).
@@ -258,11 +247,6 @@ struct SptCompilerOptions {
     O.RngSeed = Seed;
     return O;
   }
-  SptCompilerOptions withProfile(const ProfileBundle *P) const {
-    SptCompilerOptions O = *this;
-    O.ExternalProfile = P;
-    return O;
-  }
   SptCompilerOptions withPartitionDeadline(double Seconds) const {
     SptCompilerOptions O = *this;
     O.MaxPartitionSeconds = Seconds;
@@ -286,13 +270,10 @@ struct SptCompilerOptions {
     O.Observability.Context = Ctx;
     return O;
   }
-  /// Select the dependence-oracle ensemble by registry name, optionally
-  /// raising the combiner's confidence floor.
-  SptCompilerOptions withDependenceOracle(std::string Name,
-                                          double ConfidenceFloor = 0.0) const {
+  /// Select the dependence-oracle ensemble by registry name.
+  SptCompilerOptions withDependenceOracle(std::string Name) const {
     SptCompilerOptions O = *this;
     O.Analysis.DependenceOracle = std::move(Name);
-    O.Analysis.ConfidenceFloor = ConfidenceFloor;
     return O;
   }
   /// Attach a measured dependence-profile artifact (the ensemble's

@@ -6,8 +6,6 @@
 
 #include "profile/DepProfiler.h"
 
-#include "analysis/Cfg.h"
-#include "analysis/LoopInfo.h"
 #include "ir/IR.h"
 #include "ir/IRPrinter.h"
 #include "profile/Profiler.h"
@@ -47,37 +45,10 @@ spt::profileDependenceArtifact(const Module &M, const DepProfilerOptions &O) {
   if (!B.Completed)
     return Status::error("dependence profiling failed: " + B.Error);
 
-  DepProfileArtifact A;
+  DepProfileArtifact A = std::move(B.Deps);
   A.ModuleHash = moduleReprintHash(M);
   A.Workload = O.Workload;
   A.Steps = B.Instrs;
-
-  // The raw profile is keyed by (Function*, LoopId); re-derive the loop
-  // nest per function to translate into the structural (name, header)
-  // identity — and emit in sorted order so the artifact is deterministic
-  // regardless of pointer values.
-  for (const auto &KV : B.Deps.PerLoop) {
-    const Function *F = KV.first.first;
-    const uint32_t LoopId = KV.first.second;
-    CfgInfo Cfg = CfgInfo::compute(*F);
-    LoopNest Nest = LoopNest::compute(*F, Cfg);
-    if (LoopId >= Nest.numLoops())
-      continue; // Profile from a stale analysis; drop defensively.
-    DepArtifactLoop L;
-    L.Func = F->name();
-    L.Header = Nest.loop(LoopId)->Header;
-    L.Activations = KV.second.Activations;
-    L.Iterations = KV.second.Iterations;
-    L.StmtExec = KV.second.StmtExec;
-    L.Pairs = KV.second.Pairs;
-    A.Loops.push_back(std::move(L));
-  }
-  std::sort(A.Loops.begin(), A.Loops.end(),
-            [](const DepArtifactLoop &X, const DepArtifactLoop &Y) {
-              if (X.Func != Y.Func)
-                return X.Func < Y.Func;
-              return X.Header < Y.Header;
-            });
 
   // Self-serialize once to pin the checksum.
   const std::string Text = serializeDepProfile(A);
@@ -328,76 +299,4 @@ double spt::depProfileDrift(const DepProfileArtifact &A,
     Acc += W * (D / static_cast<double>(PairKeys.size()));
   }
   return WeightSum <= 0.0 ? 0.0 : Acc / WeightSum;
-}
-
-//===----------------------------------------------------------------------===//
-// Measured oracle member
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-double clamp01(double X) { return X < 0.0 ? 0.0 : (X > 1.0 ? 1.0 : X); }
-
-class MeasuredDepOracle final : public DepOracle {
-public:
-  explicit MeasuredDepOracle(std::shared_ptr<const DepProfileArtifact> A)
-      : Artifact(std::move(A)) {
-    for (const DepArtifactLoop &L : Artifact->Loops)
-      Index[{L.Func, L.Header}] = &L;
-  }
-
-  const char *name() const override { return "measured"; }
-
-  std::optional<DepEstimate> dependence(const DepQuery &Q) const override {
-    if (Q.Channel != DepChannel::Memory || !Q.F || !Q.L)
-      return std::nullopt;
-    auto It = Index.find({Q.F->name(), Q.L->Header});
-    if (It == Index.end())
-      return std::nullopt; // Loop never observed: abstain.
-    const DepArtifactLoop &L = *It->second;
-    DepEstimate E;
-    E.Confidence = std::min(
-        1.0, static_cast<double>(L.Iterations) / ProfiledSaturationIters);
-    E.Source = name();
-    // A measured zero is only evidence if the profiling run actually
-    // watched both statements execute. Queries naming statements with no
-    // execution record — typically clones minted by unrolling *after*
-    // the artifact was measured — must abstain so the ensemble falls
-    // through to static analysis, not report "no conflict" with
-    // saturated confidence and green-light speculation the measurements
-    // never covered.
-    auto ExecIt = L.StmtExec.find(Q.Src);
-    const uint64_t WExec = ExecIt == L.StmtExec.end() ? 0 : ExecIt->second;
-    auto RExecIt = L.StmtExec.find(Q.Dst);
-    const uint64_t RExec = RExecIt == L.StmtExec.end() ? 0 : RExecIt->second;
-    if (WExec == 0 || RExec == 0)
-      return std::nullopt;
-    auto PairIt = L.Pairs.find({Q.Src, Q.Dst});
-    if (PairIt == L.Pairs.end()) {
-      E.Prob = 0.0;
-      return E;
-    }
-    const uint64_t Hits =
-        Q.Cross ? PairIt->second.Cross : PairIt->second.Intra;
-    E.Prob = clamp01(static_cast<double>(Hits) / static_cast<double>(WExec));
-    return E;
-  }
-
-  std::optional<BranchProbEstimate>
-  branchProbabilities(const BranchProbQuery &) const override {
-    return std::nullopt; // Artifacts carry no edge counts.
-  }
-
-private:
-  std::shared_ptr<const DepProfileArtifact> Artifact;
-  std::map<std::pair<std::string, BlockId>, const DepArtifactLoop *> Index;
-};
-
-} // namespace
-
-std::shared_ptr<const DepOracle>
-spt::makeMeasuredDepOracle(std::shared_ptr<const DepProfileArtifact> A) {
-  if (!A)
-    return nullptr;
-  return std::make_shared<MeasuredDepOracle>(std::move(A));
 }

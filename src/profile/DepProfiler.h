@@ -5,16 +5,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// LAMP/SLAMP-style measured dependence profiles as *artifacts*: a
-/// profiling run over the instrumented interpreter (profile/Profiler.h)
-/// is distilled into a serializable, checksum-verified record of
-/// per-loop, per-(store,load) conflict frequencies that later
-/// compilations — including ones in a different process, via the batch
-/// compile service — can consume through the measured member of the
-/// `DepOracle` ensemble (analysis/oracle/DepOracle.h).
+/// LAMP/SLAMP-style measured dependence profiles as *artifacts*. The
+/// artifact (DepProfileArtifact, analysis/ProfileData.h) is the one
+/// in-memory dependence profile: a profiling run (profile/Profiler.h)
+/// produces it in-run, and this file seals it into a serializable,
+/// checksum-verified record of per-loop, per-(store,load) conflict
+/// frequencies that later compilations — including ones in a different
+/// process, via the batch compile service — can be fed. Either way it is
+/// answered by the same MeasuredDepOracle member
+/// (analysis/oracle/DepOracle.h).
 ///
-/// The artifact is keyed to the program it was measured on: its checksum
-/// is fnv1a over the serialized payload XORed with a hash of the
+/// A sealed artifact is keyed to the program it was measured on: its
+/// checksum is fnv1a over the serialized payload XORed with a hash of the
 /// module's canonical reprint, so a corrupted file *and* an artifact
 /// replayed against a different program are both rejected. Loops are
 /// identified structurally (function name + header block id), which is
@@ -23,9 +25,9 @@
 /// Staleness is a first-class concept: `depProfileDrift` compares two
 /// artifacts for the same program and returns a [0,1] distance between
 /// their conflict-rate distributions. When fresh measurements drift past
-/// `AnalysisOptions::DriftThreshold`, recompiling against the fresh
-/// profile beats keeping the stale plan — the scenario
-/// `sptserve --selfcheck` exercises end to end (docs/profiling.md).
+/// `DepProfileDriftThreshold`, recompiling against the fresh profile
+/// beats keeping the stale plan — the scenario `sptserve --selfcheck`
+/// exercises end to end (docs/profiling.md).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,49 +35,16 @@
 #define SPT_PROFILE_DEPPROFILER_H
 
 #include "analysis/ProfileData.h"
-#include "analysis/oracle/DepOracle.h"
 #include "interp/Interp.h"
 #include "support/CancelToken.h"
 #include "support/Status.h"
 
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 namespace spt {
 
 class Module;
-
-/// Measured dependence data for one loop, identified structurally so it
-/// survives serialization (no pointers).
-struct DepArtifactLoop {
-  std::string Func;
-  BlockId Header = 0;
-  uint64_t Activations = 0;
-  uint64_t Iterations = 0;
-  /// Executions of each memory statement while the loop was active.
-  std::map<StmtId, uint64_t> StmtExec;
-  /// (writer, reader) → how often the reader observed the writer's value
-  /// same-iteration / next-iteration / further back.
-  std::map<std::pair<StmtId, StmtId>, MemDepCounts> Pairs;
-};
-
-/// A complete serializable dependence profile for one module.
-struct DepProfileArtifact {
-  /// fnv1a of the module's canonical reprint (moduleReprintHash).
-  uint64_t ModuleHash = 0;
-  /// Free-form provenance label (workload name, input description).
-  std::string Workload;
-  /// Interpreter steps the profiling run executed.
-  uint64_t Steps = 0;
-  /// Sorted by (Func, Header); unique keys.
-  std::vector<DepArtifactLoop> Loops;
-  /// fnv1a(serialized payload) ^ ModuleHash. Maintained by
-  /// profileDependenceArtifact / serializeDepProfile / parseDepProfile;
-  /// this is the fingerprint the serve compile-cache key folds in.
-  uint64_t Checksum = 0;
-};
 
 /// Canonical-reprint hash of a module (fnv1a over printModule output).
 /// The artifact side of the "same program?" handshake.
@@ -92,9 +61,10 @@ struct DepProfilerOptions {
   const CancelToken *Cancel = nullptr;
 };
 
-/// Runs Entry(Args) under dependence instrumentation and distills the
-/// result into an artifact (checksum already computed). Errors when the
-/// run cannot complete (missing entry, step budget, cancellation).
+/// Runs Entry(Args) under dependence instrumentation and seals the
+/// run's dependence profile into an artifact (module hash and checksum
+/// set). Errors when the run cannot complete (missing entry, step budget,
+/// cancellation).
 StatusOr<DepProfileArtifact>
 profileDependenceArtifact(const Module &M,
                           const DepProfilerOptions &Opts = DepProfilerOptions());
@@ -109,6 +79,12 @@ std::string serializeDepProfile(const DepProfileArtifact &A);
 /// payload, or a checksum recorded for a different module's payload).
 StatusOr<DepProfileArtifact> parseDepProfile(const std::string &Text);
 
+/// depProfileDrift level above which a profile counts as stale: serving
+/// infrastructure should recompile with the fresh profile rather than
+/// keep the plan compiled against the old one. The compiler itself does
+/// not act on it.
+inline constexpr double DepProfileDriftThreshold = 0.25;
+
 /// [0,1] distance between two artifacts' cross-iteration conflict-rate
 /// distributions. 0 = identical rates (or no cross conflicts anywhere on
 /// either side); 1 = every conflicting loop's rates completely reversed.
@@ -118,19 +94,6 @@ StatusOr<DepProfileArtifact> parseDepProfile(const std::string &Text);
 /// inner compute loops never dilute the verdict. Symmetric.
 double depProfileDrift(const DepProfileArtifact &A,
                        const DepProfileArtifact &B);
-
-/// Wraps an artifact as the measured member for a DepOracle ensemble
-/// (DepOracleConfig::Measured). Answers only memory-channel queries for
-/// loops the artifact observed — and only for statements the profiling
-/// run actually saw execute; queries naming unobserved statements (e.g.
-/// clones minted by unrolling after measurement) are declined so the
-/// ensemble falls through to static analysis instead of trusting a
-/// vacuous zero. Observed pairs use the same frequency formula as the
-/// in-run profiled member and iteration-saturated confidence. Callers
-/// are responsible for the module handshake (ModuleHash) — the query
-/// carries no module identity.
-std::shared_ptr<const DepOracle>
-makeMeasuredDepOracle(std::shared_ptr<const DepProfileArtifact> A);
 
 } // namespace spt
 

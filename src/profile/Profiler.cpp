@@ -33,6 +33,7 @@
 #include <array>
 #include <cassert>
 #include <memory>
+#include <tuple>
 
 using namespace spt;
 
@@ -103,8 +104,8 @@ private:
   size_t Used = 0;
 };
 
-/// Dependence counts of one loop for the whole run, flushed into
-/// LoopDepProfileData at the end.
+/// Dependence counts of one loop for the whole run, flushed into a
+/// DepArtifactLoop at the end.
 struct LoopAccum {
   uint64_t Activations = 0;
   uint64_t Iterations = 0;
@@ -510,7 +511,9 @@ void ProfilerRun::finish() {
       const LoopAccum &Acc = FA->Loops[LI];
       if (Acc.Activations == 0)
         continue; // Never entered while collecting dependences.
-      LoopDepProfileData &D = Bundle.Deps.PerLoop[{&FA->F, LI}];
+      DepArtifactLoop &D = Bundle.Deps.Loops.emplace_back();
+      D.Func = FA->F.name();
+      D.Header = FA->Nest.loop(LI)->Header;
       D.Activations = Acc.Activations;
       D.Iterations = Acc.Iterations;
       for (StmtId S = 0; S != Acc.StmtExec.size(); ++S)
@@ -523,6 +526,10 @@ void ProfilerRun::finish() {
       if (S.HasLast)
         Bundle.Values.PerStmt[{&FA->F, S.Stmt}] = S.stats();
   }
+  std::sort(Bundle.Deps.Loops.begin(), Bundle.Deps.Loops.end(),
+            [](const DepArtifactLoop &X, const DepArtifactLoop &Y) {
+              return std::tie(X.Func, X.Header) < std::tie(Y.Func, Y.Header);
+            });
 
   // Counters are added once per run, never per step.
   obsAdd(Opts.Obs, "profile.steps", Steps);

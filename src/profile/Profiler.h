@@ -46,7 +46,9 @@ namespace spt {
 /// Everything one profiling run produces.
 struct ProfileBundle {
   EdgeProfileData Edges;
-  DepProfileData Deps;
+  /// Unsealed: ModuleHash, Checksum, Workload and Steps stay unset until
+  /// profileDependenceArtifact seals it (profile/DepProfiler.h).
+  DepProfileArtifact Deps;
   ValueProfileData Values;
 
   /// Functional results of the run (for cross-checking against plain

@@ -94,8 +94,6 @@ uint64_t spt::compilerOptionsFingerprint(const SptCompilerOptions &O) {
   // probabilities, and therefore the chosen partitions, can differ.
   // ProfilePath is provenance only and deliberately excluded.
   S += "oracle=" + O.Analysis.DependenceOracle + ";";
-  appendField(S, "conffloor", O.Analysis.ConfidenceFloor);
-  appendField(S, "drift", O.Analysis.DriftThreshold);
   appendField(S, "artifact",
               O.Analysis.Profile ? O.Analysis.Profile->Checksum : uint64_t(0));
   return fnv1a(S);

@@ -9,6 +9,7 @@
 #include "analysis/DepGraph.h"
 #include "analysis/Freq.h"
 #include "analysis/LoopInfo.h"
+#include "analysis/oracle/DepOracle.h"
 #include "lang/Frontend.h"
 
 #include <gtest/gtest.h>
@@ -371,13 +372,20 @@ TEST(DepGraphTest, DepProfileLowersCrossProbability) {
   EXPECT_GT(StaticCrossMem, 0.5);
 
   // With a profile reporting zero cross hits, the edge disappears.
-  LoopDepProfileData Prof;
+  auto Prof = std::make_shared<DepProfileArtifact>();
+  DepArtifactLoop &L = Prof->Loops.emplace_back();
+  L.Func = A.F->name();
+  L.Header = A.Nest.loop(0)->Header;
+  L.Iterations = 100;
   for (const LoopStmt &S : Static.stmts())
     if (S.I->Op == Opcode::Store || S.I->Op == Opcode::Load)
-      Prof.StmtExec[S.Id] = 100;
+      L.StmtExec[S.Id] = 100;
   // (No pairs recorded at all: the loop never had a memory dependence.)
+  DepOracleConfig C;
+  C.Measured.push_back(std::make_shared<MeasuredDepOracle>(Prof));
+  auto Oracle = DepOracleRegistry::instance().create("ensemble", C);
   DepGraphOptions Opts;
-  Opts.DepProfile = &Prof;
+  Opts.Oracle = Oracle.get();
   LoopDepGraph Profiled = A.depGraph(0, Opts);
   for (const DepEdge &E : Profiled.edges())
     if (E.Cross && E.Kind == DepKind::FlowMem)

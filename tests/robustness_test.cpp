@@ -144,6 +144,28 @@ TEST(RobustnessTest, ForeignFunctionInProfileDegrades) {
   expectGracefulDegradation(*M, Report, Want);
 }
 
+TEST(RobustnessTest, ForeignDependenceLoopInProfileDegrades) {
+  auto Base = compileOrDie(HotLoopSrc);
+  RunOutcome Want = runFunction(*Base, "main");
+
+  // Valid edge counts for this module, but one dependence loop names a
+  // function the module does not have.
+  auto M = compileOrDie(HotLoopSrc);
+  ProfileBundle Bundle = profileRun(*M, "main");
+  ASSERT_TRUE(Bundle.Completed);
+  ASSERT_FALSE(Bundle.Deps.Loops.empty());
+  Bundle.Deps.Loops.front().Func = "no_such_function";
+
+  SptCompilerOptions Opts;
+  Opts.Mode = CompilationMode::Best;
+  Opts.ExternalProfile = &Bundle;
+  CompilationReport Report = compileSpt(*M, Opts);
+  expectGracefulDegradation(*M, Report, Want);
+  EXPECT_NE(Report.Diags.renderAll().find("external dependence profile"),
+            std::string::npos)
+      << Report.Diags.renderAll();
+}
+
 TEST(RobustnessTest, ValidExternalProfileCompilesAtFullStrength) {
   // The hot loop's body weight clears MinBodyWeight without stage-A
   // unrolling: an external profile cannot see unrolling, so only loops in

@@ -34,21 +34,14 @@ struct LoopCtx {
   CallEffects Effects;
   LoopDepGraph G;
 
-  explicit LoopCtx(const std::string &Src,
-                   const LoopDepProfileData *DepProf = nullptr)
+  explicit LoopCtx(const std::string &Src)
       : M(compileOrDie(Src)), F(M->findFunction("f")),
         Cfg(CfgInfo::compute(*F)), Nest(LoopNest::compute(*F, Cfg)),
         Probs(CfgProbabilities::staticHeuristic(*F, Cfg, Nest)),
         Freq(FreqInfo::compute(*F, Cfg, Nest, Probs)),
         Effects(CallEffects::compute(*M)),
         G(LoopDepGraph::build(*M, *F, Cfg, Nest, *Nest.loop(0), Freq,
-                              Effects, makeOpts(DepProf))) {}
-
-  static DepGraphOptions makeOpts(const LoopDepProfileData *DepProf) {
-    DepGraphOptions O;
-    O.DepProfile = DepProf;
-    return O;
-  }
+                              Effects, DepGraphOptions())) {}
 };
 
 /// Profiles f's value stream for every integer def inside its loop.

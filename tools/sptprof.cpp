@@ -195,10 +195,9 @@ int selfcheck() {
   check(AllRejected, "every single-byte corruption is rejected");
 
   // Drift separates input distributions.
-  const double Threshold = SptCompilerOptions().Analysis.DriftThreshold;
   check(depProfileDrift(Dense, Dense2) == 0.0,
         "identical input distributions measure zero drift");
-  check(depProfileDrift(Dense, Sparse) > Threshold,
+  check(depProfileDrift(Dense, Sparse) > DepProfileDriftThreshold,
         "a shifted input distribution clears the staleness threshold");
   check(depProfileDrift(Dense, Sparse) == depProfileDrift(Sparse, Dense),
         "drift is symmetric");
@@ -314,9 +313,9 @@ int main(int Argc, char **Argv) {
       return 1;
     }
     const double Drift = depProfileDrift(A.value(), B.value());
-    const double Threshold = SptCompilerOptions().Analysis.DriftThreshold;
-    std::printf("drift %.6f threshold %.2f verdict %s\n", Drift, Threshold,
-                Drift > Threshold ? "stale" : "fresh");
+    std::printf("drift %.6f threshold %.2f verdict %s\n", Drift,
+                DepProfileDriftThreshold,
+                Drift > DepProfileDriftThreshold ? "stale" : "fresh");
     return 0;
   }
 

@@ -434,10 +434,10 @@ bool selfcheckProfileDrift(const CliOptions &Cli) {
   // d=1024 never conflicts inside the loop. The body is straight-line on
   // purpose: its heuristic weight equals its measured weight and sits
   // inside [MinBodyWeight, MaxBodyWeight], so the loop is never
-  // unrolled. That keeps the measured oracle member authoritative for
-  // it — an unrolled body is routed away from the artifact (its clones
-  // carry statement ids the measurements never observed), which would
-  // defeat the very coverage this scenario exercises.
+  // unrolled. That keeps the supplied artifact authoritative for it —
+  // the compiler drops unrolled loops from the supplied artifact (their
+  // clones carry statement ids the measurements never observed), which
+  // would defeat the very coverage this scenario exercises.
   static const char *Src =
       "int a[2048];\n"
       "int work(int d) {\n"
@@ -492,9 +492,8 @@ bool selfcheckProfileDrift(const CliOptions &Cli) {
   auto Stale = std::make_shared<DepProfileArtifact>(StaleOr.value());
   auto Fresh = std::make_shared<DepProfileArtifact>(FreshOr.value());
 
-  const double Threshold = SptCompilerOptions().Analysis.DriftThreshold;
   if (!check(depProfileDrift(*Stale, *Stale) == 0.0 &&
-                 depProfileDrift(*Stale, *Fresh) > Threshold,
+                 depProfileDrift(*Stale, *Fresh) > DepProfileDriftThreshold,
              "drift: shifted distribution clears the staleness threshold",
              "drift=" + std::to_string(depProfileDrift(*Stale, *Fresh))))
     return false;
