@@ -571,6 +571,12 @@ struct SimGolden {
   uint64_t SptFast; ///< runSpt at Cores=2, fast-forward.
 };
 
+// gtest puts the printed parameter into the test's name. Print the
+// program, not the raw bytes: the first field is a pointer, so the
+// bytes change with the binary's layout and with address-space
+// randomisation.
+void PrintTo(const SimGolden &G, std::ostream *OS) { *OS << G.Program; }
+
 const SimGolden SimGoldens[] = {
     {"bzip2", 0xd36759b04ef1b0b2ull, 0x9a467f96ca411385ull,
      0x7b35456cc8b6fb3bull, 0x58e0ddbe8e99bb5cull,
